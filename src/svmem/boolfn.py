@@ -15,9 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ResourceLimitError
-
-MAX_ARITY = 24  # matches the state-vector qubit cap
+from .errors import ParseError
+from .statevec import check_qubits
 
 
 def default_var_names(n: int) -> tuple[str, ...]:
@@ -30,8 +29,7 @@ def default_var_names(n: int) -> tuple[str, ...]:
 def _check_arity(n: int) -> None:
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
-    if n > MAX_ARITY:
-        raise ResourceLimitError(f"arity {n} exceeds the cap of {MAX_ARITY}")
+    check_qubits(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +112,7 @@ def count_functions(n: int) -> int:
     """Number of Boolean functions on n inputs: 2^(2^n), exact."""
     if n < 0:
         raise ValueError(f"arity must be >= 0, got {n}")
+    check_qubits(n)
     return 1 << (1 << n)
 
 

@@ -20,7 +20,7 @@ from .grover import AUTO, sample_counts
 from .grover import run as grover_run
 from .memory import cam_match, capacity, ram_read, recognizes
 from .oracle import emit_circuit
-from .statevec import StateVector, encode
+from .statevec import StateVector, check_qubits, encode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,18 +36,20 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tolerance", type=float, default=1e-9, metavar="EPS",
-        help="amplitude magnitude below which a bit reads 0 (default 1e-9)",
-    )
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--out", metavar="PATH", help="write the result to this file instead of stdout"
     )
-    common.add_argument("--seed", type=int, metavar="U64", help="PRNG seed for sampling")
-    common.add_argument(
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--seed", type=int, metavar="U64", help="PRNG seed for sampling")
+    sampling.add_argument(
         "--shots", type=int, default=0, metavar="INT",
         help="number of measurement samples to draw (default 0: exact only)",
+    )
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument(
+        "--tolerance", type=float, default=1e-9, metavar="EPS",
+        help="amplitude magnitude below which a bit reads 0 (default 1e-9)",
     )
 
     parser = _ArgumentParser(
@@ -57,28 +59,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser(
-        "capacity", parents=[common],
+        "capacity", parents=[output],
         help="count the distinct words an n-qubit register can hold",
     )
     p.add_argument("n", type=int)
     p.set_defaults(handler=_cmd_capacity)
 
     p = sub.add_parser(
-        "encode", parents=[common],
+        "encode", parents=[output],
         help="build a state from per-qubit letters: Z=(1 0), O=(0 1), B=(1 1)",
     )
     p.add_argument("pattern")
     p.set_defaults(handler=_cmd_encode)
 
     p = sub.add_parser(
-        "read", parents=[common], help="read one addressed bit from a stored state"
+        "read", parents=[tolerance, output, sampling],
+        help="read one addressed bit from a stored state",
     )
     p.add_argument("state_file")
     p.add_argument("k", type=int)
     p.set_defaults(handler=_cmd_read)
 
     p = sub.add_parser(
-        "cam", parents=[common],
+        "cam", parents=[tolerance, output, sampling],
         help="match a stored state against a Boolean function",
     )
     p.add_argument("state_file")
@@ -86,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_cam)
 
     p = sub.add_parser(
-        "grover", parents=[common],
+        "grover", parents=[output, sampling],
         help="amplify the states a function marks, then optionally sample",
     )
     p.add_argument("function", help="expr:<e> | minterms:<comma-list> | needle:<k0>")
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_grover)
 
     p = sub.add_parser(
-        "oracle-emit", parents=[common],
+        "oracle-emit", parents=[output],
         help="emit the multi-controlled-X netlist realizing a function",
     )
     p.add_argument("function", help="expr:<e> | minterms:<comma-list> | needle:<k0>")
@@ -115,6 +118,7 @@ def _parse_function_spec(spec: str, n: int) -> BoolFn:
             "function spec must look like expr:<e>, minterms:<comma-list>, or needle:<k0>"
         )
     if kind == "expr":
+        check_qubits(n)  # before building n default variable names
         return parse_expression(body, default_var_names(n))
     if kind == "minterms":
         indices = [int(tok) for tok in body.split(",") if tok.strip() != ""]

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import BoolFn
-from .errors import NoSolutionError, ResourceLimitError
+from .errors import NoSolutionError
 from .oracle import apply_phase
-from .statevec import DEFAULT_QUBIT_CAP, StateVector, probabilities
+from .statevec import StateVector, check_qubits, probabilities
 
 AUTO = "auto"
 
@@ -26,12 +26,11 @@ AUTO = "auto"
 RNG_ALGORITHM = "pcg64"
 
 
-def uniform_state(n: int, *, max_qubits: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def uniform_state(n: int) -> StateVector:
     """Equal superposition with amplitudes 1/sqrt(2^n)."""
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n}")
-    if n > max_qubits:
-        raise ResourceLimitError(f"{n} qubits exceeds the cap of {max_qubits}")
+    check_qubits(n)
     amp = 1.0 / math.sqrt(1 << n)
     return StateVector(n, np.full(1 << n, amp, dtype=np.complex128))
 
@@ -94,7 +93,6 @@ class GroverReport:
     shots: int
     samples: dict[int, int]
     final_state: StateVector
-    rng_algorithm: str = RNG_ALGORITHM
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,7 +102,7 @@ class GroverReport:
             "predicted_success": self.predicted_success,
             "simulated_success": self.simulated_success,
             "seed": self.seed,
-            "rng": self.rng_algorithm,
+            "rng": RNG_ALGORITHM,
             "samples": {str(k): v for k, v in sorted(self.samples.items())},
         }
 
@@ -114,8 +112,6 @@ def run(
     iterations: int | str = AUTO,
     seed: int | None = None,
     shots: int = 0,
-    *,
-    max_qubits: int = DEFAULT_QUBIT_CAP,
 ) -> GroverReport:
     """Amplify the states f marks and report predicted vs simulated success.
 
@@ -138,7 +134,7 @@ def run(
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
 
-    psi = uniform_state(f.n, max_qubits=max_qubits)
+    psi = uniform_state(f.n)
     for _ in range(k):
         psi = diffusion(apply_phase(f, psi))
     probs = probabilities(psi)

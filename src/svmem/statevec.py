@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import DegenerateStateError, ResourceLimitError
 
-# 2^24 amplitudes = 256 MiB of complex128; a desk-scale guard, overridable
-# per call via max_qubits.
+# The one size cap for registers, function arity and state files: 2^24
+# amplitudes = 256 MiB of complex128. Only encode takes a higher cap, e.g.
+# to build the 25-qubit marking register of a 24-input function.
 DEFAULT_QUBIT_CAP = 24
 
 DEFAULT_SUPPORT_EPS = 1e-9
@@ -34,16 +35,14 @@ class Factor(Enum):
     ONE = "O"   # (0 1)
     BOTH = "B"  # (1 1)
 
-    @property
-    def vector(self) -> np.ndarray:
-        return _FACTOR_VECTORS[self].copy()
+
+_AXIS_INDEX = {Factor.ZERO: 0, Factor.ONE: 1, Factor.BOTH: slice(None)}
 
 
-_FACTOR_VECTORS = {
-    Factor.ZERO: np.array([1.0, 0.0], dtype=np.complex128),
-    Factor.ONE: np.array([0.0, 1.0], dtype=np.complex128),
-    Factor.BOTH: np.array([1.0, 1.0], dtype=np.complex128),
-}
+def check_qubits(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
+    """Raise ResourceLimitError if n qubits exceed the cap; call before allocating 2^n."""
+    if n > max_qubits:
+        raise ResourceLimitError(f"{n} qubits exceeds the cap of {max_qubits}")
 
 
 def parse_pattern(text: str) -> tuple[Factor, ...]:
@@ -95,6 +94,7 @@ class StateVector:
         n = data["n"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"bad qubit count {n!r}")
+        check_qubits(n)
         raw = data["amps"]
         if not isinstance(raw, list) or len(raw) != (1 << n):
             raise ValueError(f"expected {1 << n} amplitude pairs for n={n}")
@@ -106,7 +106,10 @@ class StateVector:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
             ):
                 raise ValueError(f"amplitude {k} must be a [re, im] number pair")
-            amps[k] = complex(pair[0], pair[1])
+            try:
+                amps[k] = complex(pair[0], pair[1])
+            except OverflowError:
+                raise ValueError(f"amplitude {k} is too large for a double") from None
         return cls(n, amps)
 
 
@@ -117,26 +120,22 @@ def encode(
 
     Accepts a Factor sequence or a letter string ("ZZB"). The result has
     amplitudes that are exactly 0.0 or 1.0, with support of size 2^i
-    where i counts the BOTH factors.
+    where i counts the BOTH factors. max_qubits raises the size cap.
     """
     factors = parse_pattern(pattern) if isinstance(pattern, str) else tuple(pattern)
     n = len(factors)
     if n < 1:
         raise ValueError("init pattern needs at least one factor")
-    if n > max_qubits:
-        raise ResourceLimitError(f"{n} qubits exceeds the cap of {max_qubits}")
-    amps = np.array([1.0], dtype=np.complex128)
-    for factor in factors:
-        amps = np.kron(amps, _FACTOR_VECTORS[factor])
-    return StateVector(n, amps)
+    check_qubits(n, max_qubits)
+    # axis q of the (2,)*n grid is qubit q, bit n-1-q of the flat index
+    amps = np.zeros((2,) * n, dtype=np.complex128)
+    amps[tuple(_AXIS_INDEX[factor] for factor in factors)] = 1.0
+    return StateVector(n, amps.reshape(-1))
 
 
-def kron(a: StateVector, b: StateVector, *, max_qubits: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def kron(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; entry p*2^b.n + q equals a.amps[p] * b.amps[q]."""
-    if a.n + b.n > max_qubits:
-        raise ResourceLimitError(
-            f"{a.n}+{b.n} qubits exceeds the cap of {max_qubits}"
-        )
+    check_qubits(a.n + b.n)
     return StateVector(a.n + b.n, np.kron(a.amps, b.amps))
 
 

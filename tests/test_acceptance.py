@@ -32,28 +32,16 @@ def _criterion(name, budget_seconds):
     assert elapsed < budget_seconds, f"{name} took {elapsed:.2f}s, budget {budget_seconds}s"
 
 
-def _cli(argv):
-    from svmem.cli import main
-
-    import io
-    from contextlib import redirect_stdout
-
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(argv)
-    return code, buf.getvalue()
-
-
-def test_worked_example_reproduction(tmp_path):
+def test_worked_example_reproduction(tmp_path, run_cli):
     with _criterion("three-qubit encode and CAM recognition", budget_seconds=1.0):
-        code, out = _cli(["encode", "ZZB"])
+        code, out, _ = run_cli(["encode", "ZZB"])
         assert code == 0
         data = json.loads(out)
         assert data["amps"] == [[1.0, 0.0]] * 2 + [[0.0, 0.0]] * 6
 
         state_path = tmp_path / "word.json"
         state_path.write_text(out)
-        code, out = _cli(["cam", str(state_path), "expr:a'b'"])
+        code, out, _ = run_cli(["cam", str(state_path), "expr:a'b'"])
         assert code == 0
         result = json.loads(out)
         assert abs(result["probability"] - 1.0) <= 1e-12

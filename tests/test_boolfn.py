@@ -14,7 +14,7 @@ from svmem.boolfn import (
     parse,
     truth_set,
 )
-from svmem.errors import ParseError, ResourceLimitError
+from svmem.errors import ParseError
 
 
 # --- needle -------------------------------------------------------------------
@@ -40,8 +40,6 @@ def test_needle_rejects_bad_inputs():
         needle(-1, 3)
     with pytest.raises(ValueError):
         needle(0, 0)
-    with pytest.raises(ResourceLimitError):
-        needle(0, 25)
 
 
 # --- parse ----------------------------------------------------------------------

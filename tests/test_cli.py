@@ -109,6 +109,15 @@ def test_read_rejects_malformed_state(run_cli, tmp_path):
     assert "amplitude pairs" in err
 
 
+def test_read_huge_integer_amplitude(run_cli, tmp_path):
+    path = tmp_path / "bigint.json"
+    path.write_text('{"n": 1, "amps": [[1%s, 0], [0, 0]]}' % ("0" * 400))
+    code, out, err = run_cli(["read", str(path), "0"])
+    assert code == 1
+    assert _json(out)["status"] == "error"
+    assert "amplitude 0" in err
+
+
 def test_read_tolerance_flag(run_cli, state_file):
     data = _json(run_cli(["read", state_file, "0", "--tolerance", "1.5"])[1])
     assert data == {"bit": 0, "probability": 0.5}
@@ -225,6 +234,21 @@ def test_oracle_emit_to_file(run_cli, tmp_path):
 
 # --- global behavior ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [
+    ["capacity", "3", "--shots", "5"],
+    ["capacity", "3", "--tolerance", "2"],
+    ["encode", "ZZB", "--seed", "1"],
+    ["grover", "needle:0", "-n", "2", "--tolerance", "0.5"],
+    ["oracle-emit", "needle:0", "-n", "2", "--shots", "5"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_flag_is_a_usage_error(run_cli, argv):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage:")
+    assert "unrecognized arguments: " + argv[-2] in err
+
+
 def test_unknown_command(run_cli):
     assert run_cli(["defrag"])[0] == 1
 
@@ -242,6 +266,7 @@ def test_error_payload_is_parseable_json(run_cli, state_file):
         ["cam", state_file, "minterms:99"],
         ["grover", "minterms:", "-n", "2"],
         ["encode", "B" * 30],
+        ["grover", "expr:a", "-n", "100000000"],  # rejected before naming 10^8 variables
     ):
         code, out, err = run_cli(argv)
         assert code in (1, 2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from svmem.boolfn import from_minterms, needle, truth_set
-from svmem.errors import NoSolutionError, ResourceLimitError
+from svmem.errors import NoSolutionError
 from svmem.grover import (
     diffusion,
     optimal_iterations,
@@ -37,8 +37,6 @@ def test_uniform_state_values():
 def test_uniform_state_limits():
     with pytest.raises(ValueError):
         uniform_state(0)
-    with pytest.raises(ResourceLimitError):
-        uniform_state(25)
 
 
 # --- diffusion ----------------------------------------------------------------

@@ -1,12 +1,19 @@
 """State construction, tensor products, norms, and probability views."""
 
 import itertools
+import json
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from svmem.boolfn import count_functions, from_minterms, needle, parse
 from svmem.errors import DegenerateStateError, ResourceLimitError
+from svmem.grover import uniform_state
 from svmem.statevec import (
+    DEFAULT_QUBIT_CAP,
     Factor,
     StateVector,
     encode,
@@ -70,9 +77,34 @@ def test_encode_rejects_bad_letter():
         encode("ZXB")
 
 
+# reference for encode: the left-to-right np.kron fold of the factor vectors
+FACTOR_VECTORS = {"Z": [1.0, 0.0], "O": [0.0, 1.0], "B": [1.0, 1.0]}
+
+
+def kron_fold(letters):
+    return reduce(np.kron, (np.array(FACTOR_VECTORS[ch], complex) for ch in letters))
+
+
+def assert_encode_matches_reference(letters):
+    amps = encode(letters).amps
+    assert amps.dtype == np.complex128
+    assert amps.shape == (2 ** len(letters),)
+    np.testing.assert_array_equal(amps, kron_fold(letters))
+
+
+def test_encode_matches_kron_fold_exhaustive():
+    for n in range(1, 6):
+        for letters in itertools.product("ZOB", repeat=n):
+            assert_encode_matches_reference("".join(letters))
+
+
+@settings(deadline=None)
+@given(st.text(alphabet="ZOB", min_size=1, max_size=12))
+def test_encode_matches_kron_fold_property(letters):
+    assert_encode_matches_reference(letters)
+
+
 def test_encode_qubit_cap():
-    with pytest.raises(ResourceLimitError):
-        encode("B" * 25)
     with pytest.raises(ResourceLimitError):
         encode("ZZZZZ", max_qubits=4)
     assert encode("Z" * 25, max_qubits=25).n == 25  # cap is configurable
@@ -133,12 +165,6 @@ def test_kron_norm_multiplicative():
         assert norm_squared(kron(a, b)) == pytest.approx(
             norm_squared(a) * norm_squared(b), abs=1e-12
         )
-
-
-def test_kron_cap():
-    a = encode("B" * 13)
-    with pytest.raises(ResourceLimitError):
-        kron(a, a)
 
 
 # --- norm_squared / support / probabilities ---------------------------------
@@ -218,3 +244,38 @@ def test_json_rejects_bad_inputs():
         StateVector.from_json_dict({"n": 1, "amps": [[1, 0], ["x", 0]]})
     with pytest.raises(ValueError):
         StateVector.from_json_dict({"n": 1, "amps": [[1, 0], [1]]})
+
+
+# --- one size cap for every entry point ----------------------------------------
+
+OVER_CAP = DEFAULT_QUBIT_CAP + 1
+OVER_CAP_ENTRY_POINTS = {
+    "encode": lambda n: encode("Z" * n),
+    "kron": lambda n: kron(encode("Z" * (n - n // 2)), encode("Z" * (n // 2))),
+    "uniform_state": uniform_state,
+    "count_functions": count_functions,
+    "needle": lambda n: needle(0, n),
+    "from_minterms": lambda n: from_minterms([0], n),
+    "parse": lambda n: parse("1", [f"x{j}" for j in range(n)]),
+    "from_json_dict": lambda n: StateVector.from_json_dict({"n": n, "amps": []}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OVER_CAP_ENTRY_POINTS))
+def test_over_cap_rejected_alike(entry):
+    message = f"{OVER_CAP} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}"
+    with pytest.raises(ResourceLimitError) as excinfo:
+        OVER_CAP_ENTRY_POINTS[entry](OVER_CAP)
+    assert str(excinfo.value) == message
+
+
+def test_over_cap_state_file_exits_2(run_cli, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 10000000, "amps": []}')
+    code, out, err = run_cli(["read", str(path), "0"])
+    assert code == 2
+    assert json.loads(out) == {
+        "status": "error",
+        "error_message": f"10000000 qubits exceeds the cap of {DEFAULT_QUBIT_CAP}",
+    }
+    assert err.startswith("svmem: error:")
