@@ -16,11 +16,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .statevec import check_qubits
+from .statevec import check_index, check_qubits
 
 
 def default_var_names(n: int) -> tuple[str, ...]:
     """a, b, c, ... for small arities; x0, x1, ... past the alphabet."""
+    _check_arity(n)
     if n <= 26:
         return tuple(string.ascii_lowercase[:n])
     return tuple(f"x{j}" for j in range(n))
@@ -38,7 +39,6 @@ class BoolFn:
 
     n: int
     table: np.ndarray
-    var_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         _check_arity(self.n)
@@ -52,13 +52,9 @@ class BoolFn:
             raise ValueError("truth table entries must be 0 or 1")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
-        names = tuple(self.var_names) or default_var_names(self.n)
-        if len(names) != self.n:
-            raise ValueError(f"expected {self.n} variable names, got {len(names)}")
-        object.__setattr__(self, "var_names", names)
 
     # Equality is extensional: two functions with the same table are the
-    # same function no matter what the variables were called.
+    # same function no matter how they were written down.
     def __eq__(self, other):
         if not isinstance(other, BoolFn):
             return NotImplemented
@@ -71,10 +67,7 @@ class BoolFn:
 def needle(k0: int, n: int) -> BoolFn:
     """Decoder line: true at k0 and nowhere else."""
     _check_arity(n)
-    if not 0 <= k0 < (1 << n):
-        raise ValueError(
-            f"k0={k0} out of range for {n} inputs (valid: 0..{(1 << n) - 1})"
-        )
+    check_index(k0, n, "k0")
     table = np.zeros(1 << n, dtype=np.uint8)
     table[k0] = 1
     return BoolFn(n, table)
@@ -86,20 +79,14 @@ def from_minterms(indices: Iterable[int], n: int) -> BoolFn:
     table = np.zeros(1 << n, dtype=np.uint8)
     for k in indices:
         k = int(k)
-        if not 0 <= k < (1 << n):
-            raise ValueError(
-                f"minterm {k} out of range for {n} inputs (valid: 0..{(1 << n) - 1})"
-            )
+        check_index(k, n, "minterm")
         table[k] = 1
     return BoolFn(n, table)
 
 
 def evaluate(f: BoolFn, k: int) -> int:
     """f(k) as 0 or 1."""
-    if not 0 <= k < (1 << f.n):
-        raise ValueError(
-            f"input {k} out of range for {f.n} inputs (valid: 0..{(1 << f.n) - 1})"
-        )
+    check_index(k, f.n, "input")
     return int(f.table[k])
 
 
@@ -138,9 +125,12 @@ def parse(expr: str, var_names: Sequence[str]) -> BoolFn:
     for name in names:
         if not name or not all(c.isalnum() or c == "_" for c in name) or name in ("0", "1"):
             raise ValueError(f"bad variable name {name!r}")
-    tokens = _tokenize(expr, names)
-    table = _Parser(tokens, len(expr), names).parse()
-    return BoolFn(len(names), table, names)
+    parser = _Parser(_tokenize(expr, names), len(expr), names)
+    try:
+        table = parser.parse()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", parser._position_or_end()) from None
+    return BoolFn(len(names), table)
 
 
 def _tokenize(expr: str, names: tuple[str, ...]) -> list[tuple[str, str, int]]:

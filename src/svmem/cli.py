@@ -20,7 +20,7 @@ from .grover import AUTO, sample_counts
 from .grover import run as grover_run
 from .memory import cam_match, capacity, ram_read, recognizes
 from .oracle import emit_circuit
-from .statevec import StateVector, check_qubits, encode
+from .statevec import StateVector, encode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,7 +118,6 @@ def _parse_function_spec(spec: str, n: int) -> BoolFn:
             "function spec must look like expr:<e>, minterms:<comma-list>, or needle:<k0>"
         )
     if kind == "expr":
-        check_qubits(n)  # before building n default variable names
         return parse_expression(body, default_var_names(n))
     if kind == "minterms":
         indices = [int(tok) for tok in body.split(",") if tok.strip() != ""]
@@ -134,9 +133,12 @@ def _load_state(path: str) -> StateVector:
     return StateVector.from_json_dict(data)
 
 
-def _bit_samples(probability: float, shots: int, seed: int | None) -> dict[str, int]:
-    counts = sample_counts(np.array([1.0 - probability, probability]), shots, seed)
-    return {str(bit): count for bit, count in sorted(counts.items())}
+def _with_samples(payload: dict, probability: float, args) -> dict:
+    if args.shots:
+        counts = sample_counts(np.array([1.0 - probability, probability]), args.shots, args.seed)
+        payload["shots"] = args.shots
+        payload["samples"] = {str(bit): count for bit, count in counts.items()}
+    return payload
 
 
 def _cmd_capacity(args) -> dict:
@@ -150,25 +152,15 @@ def _cmd_encode(args) -> dict:
 def _cmd_read(args) -> dict:
     psi = _load_state(args.state_file)
     bit, probability = ram_read(psi, args.k, args.tolerance)
-    payload = {"bit": bit, "probability": probability}
-    if args.shots > 0:
-        payload["shots"] = args.shots
-        payload["samples"] = _bit_samples(probability, args.shots, args.seed)
-    return payload
+    return _with_samples({"bit": bit, "probability": probability}, probability, args)
 
 
 def _cmd_cam(args) -> dict:
     psi = _load_state(args.state_file)
     f = _parse_function_spec(args.function, psi.n)
     probability = cam_match(psi, f)
-    payload = {
-        "probability": probability,
-        "recognizes": recognizes(f, psi, args.tolerance),
-    }
-    if args.shots > 0:
-        payload["shots"] = args.shots
-        payload["samples"] = _bit_samples(probability, args.shots, args.seed)
-    return payload
+    payload = {"probability": probability, "recognizes": recognizes(f, psi, args.tolerance)}
+    return _with_samples(payload, probability, args)
 
 
 def _cmd_grover(args) -> dict:

@@ -10,6 +10,7 @@ leaves the plane spanned by the marked and unmarked uniform components.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ AUTO = "auto"
 # Bit generator behind all sampling; pinned by name so reports stay
 # reproducible across library upgrades.
 RNG_ALGORITHM = "pcg64"
+
+# Doubles drawn per sampling step: 8 MiB, whatever the shot count.
+_SHOT_CHUNK = 1 << 20
 
 
 def uniform_state(n: int) -> StateVector:
@@ -45,7 +49,7 @@ def _validate_space(N: int, M: int) -> float:
     if N < 1 or (N & (N - 1)):
         raise ValueError(f"search-space size must be a power of two, got {N}")
     if M == 0:
-        raise NoSolutionError("no marked states: the Grover rotation is undefined")
+        raise NoSolutionError("the function marks no states: the Grover rotation is undefined")
     if M < 0 or M > N:
         raise ValueError(f"marked count {M} must lie in 1..{N}")
     return math.asin(math.sqrt(M / N))
@@ -72,12 +76,18 @@ def predicted_success(N: int, M: int, k: int) -> float:
 
 def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> dict[int, int]:
     """Inverse-CDF draws from an exact distribution; returns index -> count."""
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(probs)
-    draws = np.searchsorted(cdf, rng.random(shots), side="right")
-    draws = np.minimum(draws, len(probs) - 1)  # guard the top rounding sliver
-    values, counts = np.unique(draws, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    counts: Counter[int] = Counter()
+    # chunks of one stream: bounded memory, and the same doubles as one big draw
+    for start in range(0, shots, _SHOT_CHUNK):
+        draws = np.searchsorted(cdf, rng.random(min(_SHOT_CHUNK, shots - start)), side="right")
+        draws = np.minimum(draws, len(probs) - 1)  # guard the top rounding sliver
+        values, hits = np.unique(draws, return_counts=True)
+        counts.update(dict(zip(values.tolist(), hits.tolist())))
+    return dict(sorted(counts.items()))
 
 
 @dataclass
@@ -120,8 +130,6 @@ def run(
     distribution, reproducibly for a given seed.
     """
     marked = int(f.table.sum())
-    if marked == 0:
-        raise NoSolutionError("the function marks no states; nothing to search for")
     size = 1 << f.n
     if isinstance(iterations, str):
         if iterations.lower() != AUTO:
@@ -129,18 +137,14 @@ def run(
         k = optimal_iterations(size, marked)
     else:
         k = int(iterations)
-        if k < 0:
-            raise ValueError(f"iteration count must be >= 0, got {k}")
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
+    predicted = predicted_success(size, marked, k)  # checks M and k before allocating
 
     psi = uniform_state(f.n)
     for _ in range(k):
         psi = diffusion(apply_phase(f, psi))
     probs = probabilities(psi)
     simulated = float(probs[f.table.astype(bool)].sum())
-    predicted = predicted_success(size, marked, k)
-    samples = sample_counts(probs, shots, seed) if shots > 0 else {}
+    samples = sample_counts(probs, shots, seed) if shots else {}
     return GroverReport(
         n=f.n,
         marked=marked,

@@ -27,6 +27,8 @@ from .statevec import (
     DEFAULT_SUPPORT_EPS,
     Factor,
     StateVector,
+    check_index,
+    check_tolerance,
     norm_squared,
     support,
 )
@@ -131,10 +133,8 @@ def ram_read(
     The probability |amps[k]|^2 / norm^2 is exactly the chance that the
     auxiliary qubit reads 1 after the marking oracle of needle(k, n).
     """
-    if not 0 <= k < (1 << psi.n):
-        raise ValueError(
-            f"address {k} out of range (valid: 0..{(1 << psi.n) - 1})"
-        )
+    check_index(k, psi.n, "address")
+    check_tolerance(eps)
     total = norm_squared(psi)
     if total == 0.0:
         raise DegenerateStateError("cannot read from the all-zero state")

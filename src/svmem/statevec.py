@@ -45,6 +45,18 @@ def check_qubits(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
         raise ResourceLimitError(f"{n} qubits exceeds the cap of {max_qubits}")
 
 
+def check_index(k: int, n: int, what: str) -> None:
+    """Raise ValueError unless k indexes the 2^n basis; what names k in the message."""
+    if not 0 <= k < (1 << n):
+        raise ValueError(f"{what} {k} out of range for {n} qubits (valid: 0..{(1 << n) - 1})")
+
+
+def check_tolerance(eps: float) -> None:
+    """Raise ValueError unless the readout tolerance is a positive number (NaN is not)."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+
+
 def parse_pattern(text: str) -> tuple[Factor, ...]:
     """Turn a letter string like "ZZB" into a factor tuple."""
     factors = []
@@ -146,8 +158,7 @@ def norm_squared(psi: StateVector) -> float:
 
 def support(psi: StateVector, eps: float = DEFAULT_SUPPORT_EPS) -> set[int]:
     """Basis indices whose amplitude magnitude exceeds eps."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_tolerance(eps)
     return {int(k) for k in np.flatnonzero(np.abs(psi.amps) > eps)}
 
 

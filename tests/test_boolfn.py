@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from svmem.boolfn import (
     BoolFn,
@@ -114,6 +116,24 @@ def test_parse_syntax_errors():
         parse("   ", ["a"])
     with pytest.raises(ParseError, match="unexpected character"):
         parse("a&b", ["a", "b"])
+
+
+def test_parse_deep_nesting_is_a_parse_error():
+    assert truth_set(parse("(" * 50 + "a" + ")" * 50, ["a"])) == {1}
+    expr = "(" * 400 + "a" + ")" * 400
+    with pytest.raises(ParseError, match="nests too deeply") as excinfo:
+        parse(expr, ["a"])
+    assert 0 <= excinfo.value.position <= len(expr)
+
+
+@given(st.text(alphabet="ab01'+() _&z", max_size=80))
+@example("(" * 400 + "a" + ")" * 400)
+@example("(" * 5000 + "a")  # deeper than the recursion headroom Hypothesis adds
+def test_parse_returns_or_raises_parse_error(expr):
+    try:
+        parse(expr, ["a", "b"])
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(expr)
 
 
 def test_parse_rejects_bad_variable_sets():
@@ -237,8 +257,6 @@ def test_boolfn_validation():
         BoolFn(1, np.array([0, 2]))
     with pytest.raises(ValueError):
         BoolFn(0, np.array([1]))
-    with pytest.raises(ValueError, match="variable names"):
-        BoolFn(2, np.zeros(4, dtype=np.uint8), ("a",))
 
 
 def test_boolfn_equality_ignores_names():

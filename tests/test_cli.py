@@ -123,6 +123,29 @@ def test_read_tolerance_flag(run_cli, state_file):
     assert data == {"bit": 0, "probability": 0.5}
 
 
+@pytest.mark.parametrize("command", ["read", "cam"])
+@pytest.mark.parametrize("eps", ["-1", "0", "nan"])
+def test_bad_tolerance_rejected(run_cli, state_file, command, eps):
+    target = "7" if command == "read" else "needle:7"
+    code, out, err = run_cli([command, state_file, target, "--tolerance", eps])
+    assert code == 1
+    assert _json(out)["error_message"].startswith("eps must be positive")
+    assert err.startswith("svmem: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["read", "{state}", "0"],
+    ["cam", "{state}", "needle:0"],
+    ["grover", "needle:0", "-n", "3"],
+], ids=lambda argv: argv[0])
+def test_negative_shots_rejected(run_cli, state_file, argv):
+    argv = [state_file if a == "{state}" else a for a in argv]
+    code, out, err = run_cli(argv + ["--shots", "-5"])
+    assert code == 1
+    assert _json(out) == {"status": "error", "error_message": "shots must be >= 0, got -5"}
+    assert err.startswith("svmem: error:")
+
+
 def test_read_with_shots(run_cli, state_file):
     argv = ["read", state_file, "0", "--shots", "100", "--seed", "7"]
     data = _json(run_cli(argv)[1])
@@ -230,6 +253,22 @@ def test_oracle_emit_to_file(run_cli, tmp_path):
     code, out, _ = run_cli(["oracle-emit", "needle:3", "-n", "2", "--out", str(path)])
     assert code == 0 and out == ""
     assert path.read_text() == "qubits 3\nmcx controls=(0,+),(1,+) target=aux\n"
+
+
+@pytest.mark.parametrize("command", ["oracle-emit", "grover"])
+@pytest.mark.parametrize("n", ["-5", "0"])
+def test_expr_needs_at_least_one_input(run_cli, command, n):
+    code, out, err = run_cli([command, "expr:0", "-n", n])
+    assert code == 1
+    assert _json(out) == {"status": "error", "error_message": f"arity must be >= 1, got {n}"}
+    assert err.startswith("svmem: error:")
+
+
+def test_deep_nesting_is_a_json_error(run_cli):
+    code, out, err = run_cli(["oracle-emit", "expr:" + "(" * 400 + "a" + ")" * 400, "-n", "2"])
+    assert code == 1
+    assert "nests too deeply" in _json(out)["error_message"]
+    assert err.startswith("svmem: error:")
 
 
 # --- global behavior ----------------------------------------------------------------------

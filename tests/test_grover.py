@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from svmem import grover
 from svmem.boolfn import from_minterms, needle, truth_set
 from svmem.errors import NoSolutionError
 from svmem.grover import (
@@ -141,6 +142,19 @@ def test_run_rejects_bad_inputs():
         run(needle(0, 2), shots=-5)
 
 
+def test_run_checks_counts_before_allocating(monkeypatch):
+    def no_allocation(n):
+        raise AssertionError("uniform_state called before the counts were checked")
+
+    monkeypatch.setattr(grover, "uniform_state", no_allocation)
+    with pytest.raises(NoSolutionError, match="marks no states"):
+        run(from_minterms(set(), 3))
+    with pytest.raises(NoSolutionError, match="marks no states"):
+        run(from_minterms(set(), 3), iterations=2)
+    with pytest.raises(ValueError, match="iteration count"):
+        run(needle(0, 2), iterations=-1)
+
+
 def test_run_matches_closed_form_over_grid():
     rng = np.random.default_rng(7)
     for n in range(1, 9):
@@ -199,3 +213,31 @@ def test_report_json_shape():
     assert data["rng"] == "pcg64"
     assert all(isinstance(k, str) for k in data["samples"])
     assert sum(data["samples"].values()) == 20
+
+
+def _one_buffer_counts(probs, shots, seed):
+    # reference: every double drawn in one buffer, as before chunking
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = np.searchsorted(np.cumsum(probs), rng.random(shots), side="right")
+    values, counts = np.unique(np.minimum(draws, len(probs) - 1), return_counts=True)
+    return [(int(v), int(c)) for v, c in zip(values, counts)]
+
+
+def test_sample_counts_chunked_equals_one_buffer():
+    probs = np.random.default_rng(21).random(40)
+    probs /= probs.sum()
+    shots = (1 << 20) + 3  # one full chunk plus a short one
+    assert list(sample_counts(probs, shots, 5).items()) == _one_buffer_counts(probs, shots, 5)
+
+
+def test_sample_counts_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(grover, "_SHOT_CHUNK", 7)
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    for shots in (1, 6, 7, 8, 14, 1001):
+        assert list(sample_counts(probs, shots, 3).items()) == _one_buffer_counts(probs, shots, 3)
+
+
+def test_sample_counts_rejects_negative_shots():
+    with pytest.raises(ValueError, match="shots must be >= 0"):
+        sample_counts(np.array([0.5, 0.5]), -5, seed=1)
+    assert sample_counts(np.array([0.5, 0.5]), 0, seed=1) == {}

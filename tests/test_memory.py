@@ -140,6 +140,9 @@ def test_ram_read_errors(zzb_state):
         ram_read(zzb_state, 8)
     with pytest.raises(DegenerateStateError):
         ram_read(StateVector(1, np.zeros(2, complex)), 0)
+    for eps in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            ram_read(zzb_state, 0, eps)
 
 
 def test_ram_read_roundtrip():

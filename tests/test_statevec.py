@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svmem.boolfn import count_functions, from_minterms, needle, parse
+from svmem.boolfn import count_functions, evaluate, from_minterms, needle, parse
 from svmem.errors import DegenerateStateError, ResourceLimitError
 from svmem.grover import uniform_state
+from svmem.memory import ram_read
 from svmem.statevec import (
     DEFAULT_QUBIT_CAP,
     Factor,
@@ -182,8 +183,9 @@ def test_support_values(zzb_state):
 
 
 def test_support_requires_positive_eps(zzb_state):
-    with pytest.raises(ValueError, match="positive"):
-        support(zzb_state, 0.0)
+    for eps in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            support(zzb_state, eps)
 
 
 def test_probabilities_values(zzb_state):
@@ -279,3 +281,34 @@ def test_over_cap_state_file_exits_2(run_cli, tmp_path):
         "error_message": f"10000000 qubits exceeds the cap of {DEFAULT_QUBIT_CAP}",
     }
     assert err.startswith("svmem: error:")
+
+
+# --- one range check for every basis index ---------------------------------------
+
+INDEX_ENTRY_POINTS = {
+    "needle": ("k0", lambda k, state: needle(k, 3)),
+    "from_minterms": ("minterm", lambda k, state: from_minterms([0, k], 3)),
+    "evaluate": ("input", lambda k, state: evaluate(needle(0, 3), k)),
+    "ram_read": ("address", lambda k, state: ram_read(encode("ZZB"), k)),
+    "cli read": ("address", lambda k, state: ["read", state, str(k)]),
+    "cli cam needle": ("k0", lambda k, state: ["cam", state, f"needle:{k}"]),
+    "cli cam minterms": ("minterm", lambda k, state: ["cam", state, f"minterms:0,{k}"]),
+}
+
+
+@pytest.mark.parametrize("k", [8, -1])
+@pytest.mark.parametrize("entry", list(INDEX_ENTRY_POINTS))
+def test_out_of_range_index_rejected_alike(entry, k, run_cli, tmp_path):
+    what, call = INDEX_ENTRY_POINTS[entry]
+    message = f"{what} {k} out of range for 3 qubits (valid: 0..7)"
+    state = str(tmp_path / "word.json")
+    assert run_cli(["encode", "ZZB", "--out", state])[0] == 0
+    if entry.startswith("cli "):
+        code, out, err = run_cli(call(k, state))
+        assert code == 1
+        assert json.loads(out) == {"status": "error", "error_message": message}
+        assert err.startswith("svmem: error:")
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            call(k, state)
+        assert str(excinfo.value) == message
