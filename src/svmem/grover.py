@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import BoolFn
-from .errors import NoSolutionError
+from .errors import NoSolutionError, ResourceLimitError
 from .oracle import apply_phase
 from .statevec import StateVector, check_qubits, probabilities
 
@@ -28,6 +28,10 @@ RNG_ALGORITHM = "pcg64"
 
 # Doubles drawn per sampling step: 8 MiB, whatever the shot count.
 _SHOT_CHUNK = 1 << 20
+
+# Most shots one call may draw: 1024 chunks, about 30 s over two outcomes
+# on a 2-core host.
+MAX_SHOTS = 1 << 30
 
 
 def uniform_state(n: int) -> StateVector:
@@ -78,6 +82,8 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> dict[int, 
     """Inverse-CDF draws from an exact distribution; returns index -> count."""
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ResourceLimitError(f"{shots} shots exceeds the cap of {MAX_SHOTS}")
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(probs)
     counts: Counter[int] = Counter()

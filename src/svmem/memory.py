@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .boolfn import BoolFn, truth_set
+from .boolfn import BoolFn
 from .errors import DegenerateStateError, ResourceLimitError, ShapeError
 from .statevec import (
     DEFAULT_SUPPORT_EPS,
@@ -30,10 +30,13 @@ from .statevec import (
     check_index,
     check_tolerance,
     norm_squared,
-    support,
 )
 
 ENUMERATION_CAP = 12  # 3^12 ≈ 531k patterns keeps exhaustive streams desk-sized
+
+# Largest n whose 3^n, the biggest count in the report, has at most 4300
+# decimal digits: CPython's default limit for int-to-str conversion.
+CAPACITY_CAP = 9012
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,8 @@ def capacity(n: int) -> CapacityReport:
     """Count the distinct words an n-qubit register can store, term by term."""
     if n < 0:
         raise ValueError(f"qubit count must be >= 0, got {n}")
+    if n > CAPACITY_CAP:
+        raise ResourceLimitError(f"capacity of {n} qubits exceeds the cap of {CAPACITY_CAP}")
     rows = []
     total = 0
     for i in range(n + 1):
@@ -166,4 +171,5 @@ def recognizes(
     """
     if f.n != psi.n:
         raise ShapeError(f"function on {f.n} inputs got a {psi.n}-qubit state")
-    return truth_set(f) == support(psi, eps)
+    check_tolerance(eps)
+    return np.array_equal(f.table != 0, np.abs(psi.amps) > eps)

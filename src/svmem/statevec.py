@@ -12,6 +12,7 @@ the squared norm.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -94,10 +95,9 @@ class StateVector:
 
     def to_json_dict(self) -> dict:
         """JSON form: {"n": n, "amps": [[re, im], ...]} in basis-index order."""
-        return {
-            "n": self.n,
-            "amps": [[float(a.real), float(a.imag)] for a in self.amps],
-        }
+        # complex128 is a (re, im) float64 pair in memory
+        pairs = np.ascontiguousarray(self.amps).view(np.float64).reshape(-1, 2)
+        return {"n": self.n, "amps": pairs.tolist()}
 
     @classmethod
     def from_json_dict(cls, data) -> StateVector:
@@ -110,19 +110,39 @@ class StateVector:
         raw = data["amps"]
         if not isinstance(raw, list) or len(raw) != (1 << n):
             raise ValueError(f"expected {1 << n} amplitude pairs for n={n}")
-        amps = np.empty(1 << n, dtype=np.complex128)
-        for k, pair in enumerate(raw):
-            if (
-                not isinstance(pair, (list, tuple))
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-            ):
-                raise ValueError(f"amplitude {k} must be a [re, im] number pair")
-            try:
-                amps[k] = complex(pair[0], pair[1])
-            except OverflowError:
-                raise ValueError(f"amplitude {k} is too large for a double") from None
+        # whole-list passes over the distinct types and lengths; only a
+        # failed check walks the pairs, to name the first bad one
+        pair_types = set(map(type, raw))
+        if not all(issubclass(t, (list, tuple)) for t in pair_types) or set(map(len, raw)) != {2}:
+            raise _first_bad_pair(raw)
+        flat = list(itertools.chain.from_iterable(raw))
+        if not all(_is_number_type(t) for t in set(map(type, flat))):
+            raise _first_bad_pair(raw)
+        try:
+            amps = np.array(flat, dtype=np.float64).view(np.complex128)
+        except OverflowError:
+            raise _first_bad_pair(raw) from None
         return cls(n, amps)
+
+
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _first_bad_pair(raw: list) -> ValueError:
+    """The error naming the first pair that is not a [re, im] pair of doubles."""
+    for k, pair in enumerate(raw):
+        if (
+            not isinstance(pair, (list, tuple))
+            or len(pair) != 2
+            or not all(_is_number_type(type(v)) for v in pair)
+        ):
+            return ValueError(f"amplitude {k} must be a [re, im] number pair")
+        try:
+            complex(pair[0], pair[1])
+        except OverflowError:
+            return ValueError(f"amplitude {k} is too large for a double")
+    raise AssertionError("a whole-list check failed, but every pair is good")
 
 
 def encode(

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from svmem.grover import MAX_SHOTS
+from svmem.memory import CAPACITY_CAP
+
 
 def _json(stdout):
     return json.loads(stdout)
@@ -33,6 +36,16 @@ def test_capacity_zero(run_cli):
 
 def test_capacity_twenty(run_cli):
     assert _json(run_cli(["capacity", "20"])[1])["total"] == "3486784401"
+
+
+def test_capacity_over_cap_exit_2(run_cli):
+    code, out, err = run_cli(["capacity", str(CAPACITY_CAP + 1)])
+    assert code == 2
+    assert _json(out) == {
+        "status": "error",
+        "error_message": f"capacity of {CAPACITY_CAP + 1} qubits exceeds the cap of {CAPACITY_CAP}",
+    }
+    assert err.startswith("svmem: error:")
 
 
 def test_capacity_usage_error(run_cli):
@@ -143,6 +156,22 @@ def test_negative_shots_rejected(run_cli, state_file, argv):
     code, out, err = run_cli(argv + ["--shots", "-5"])
     assert code == 1
     assert _json(out) == {"status": "error", "error_message": "shots must be >= 0, got -5"}
+    assert err.startswith("svmem: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["read", "{state}", "0"],
+    ["cam", "{state}", "needle:0"],
+    ["grover", "needle:0", "-n", "3"],
+], ids=lambda argv: argv[0])
+def test_too_many_shots_exit_2(run_cli, state_file, argv):
+    argv = [state_file if a == "{state}" else a for a in argv]
+    code, out, err = run_cli(argv + ["--shots", "10000000000000"])
+    assert code == 2
+    assert _json(out) == {
+        "status": "error",
+        "error_message": f"10000000000000 shots exceeds the cap of {MAX_SHOTS}",
+    }
     assert err.startswith("svmem: error:")
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from svmem import grover
 from svmem.boolfn import from_minterms, needle, truth_set
-from svmem.errors import NoSolutionError
+from svmem.errors import NoSolutionError, ResourceLimitError
 from svmem.grover import (
     diffusion,
     optimal_iterations,
@@ -241,3 +241,12 @@ def test_sample_counts_rejects_negative_shots():
     with pytest.raises(ValueError, match="shots must be >= 0"):
         sample_counts(np.array([0.5, 0.5]), -5, seed=1)
     assert sample_counts(np.array([0.5, 0.5]), 0, seed=1) == {}
+
+
+def test_sample_counts_shot_cap(monkeypatch):
+    with pytest.raises(ResourceLimitError, match=f"exceeds the cap of {grover.MAX_SHOTS}"):
+        sample_counts(np.array([0.5, 0.5]), grover.MAX_SHOTS + 1, seed=1)
+    monkeypatch.setattr(grover, "MAX_SHOTS", 10)
+    assert sum(sample_counts(np.array([0.5, 0.5]), 10, seed=1).values()) == 10
+    with pytest.raises(ResourceLimitError, match="11 shots exceeds the cap of 10"):
+        sample_counts(np.array([0.5, 0.5]), 11, seed=1)

@@ -4,10 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from svmem import memory
 from svmem.boolfn import BoolFn, from_minterms, needle, parse, truth_set
 from svmem.errors import DegenerateStateError, ResourceLimitError, ShapeError
 from svmem.memory import (
+    CAPACITY_CAP,
     CapacityRow,
     cam_match,
     capacity,
@@ -54,6 +58,21 @@ def test_capacity_counts_distinct_encodings():
 def test_capacity_twenty_qubits():
     assert capacity(20).total == 3486784401
     assert capacity(20).total == 3**20
+
+
+def test_capacity_cap_is_the_last_n_printable_in_4300_digits():
+    # 3^n, the total, is the biggest count in the report
+    assert 3**CAPACITY_CAP < 10**4300 <= 3 ** (CAPACITY_CAP + 1)
+    assert len(str(3**CAPACITY_CAP)) == 4300
+    with pytest.raises(ResourceLimitError, match=f"exceeds the cap of {CAPACITY_CAP}"):
+        capacity(CAPACITY_CAP + 1)
+
+
+def test_capacity_cap_boundary(monkeypatch):
+    monkeypatch.setattr(memory, "CAPACITY_CAP", 5)
+    assert capacity(5).total == 3**5
+    with pytest.raises(ResourceLimitError, match="capacity of 6 qubits exceeds the cap of 5"):
+        capacity(6)
 
 
 def test_capacity_closed_form_and_bounds():
@@ -234,3 +253,27 @@ def test_each_word_recognized_by_exactly_one_function():
 def test_recognizes_shape_error(zzb_state):
     with pytest.raises(ShapeError):
         recognizes(needle(0, 2), zzb_state)
+
+
+def reference_recognizes(f, psi, eps):
+    # the set-based form: the truth set equals the support
+    return truth_set(f) == support(psi, eps)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_recognizes_matches_set_reference(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    eps = data.draw(st.floats(min_value=5e-324, max_value=10.0), label="eps")
+    edges = [0.0, -0.0, eps, -eps, np.nextafter(eps, 0.0), np.nextafter(eps, np.inf)]
+    part = st.one_of(st.sampled_from(edges), st.floats(-20.0, 20.0))
+    pairs = data.draw(st.lists(st.tuples(part, part), min_size=1 << n, max_size=1 << n))
+    psi = StateVector(n, np.array([complex(re, im) for re, im in pairs]))
+    if data.draw(st.booleans(), label="table is the support"):
+        table = np.abs(psi.amps) > eps
+    else:
+        table = data.draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
+    f = BoolFn(n, np.array(table, dtype=np.uint8))
+    result = recognizes(f, psi, eps)
+    assert type(result) is bool
+    assert result == reference_recognizes(f, psi, eps)

@@ -17,6 +17,7 @@ from svmem.statevec import (
     DEFAULT_QUBIT_CAP,
     Factor,
     StateVector,
+    check_qubits,
     encode,
     kron,
     norm_squared,
@@ -312,3 +313,158 @@ def test_out_of_range_index_rejected_alike(entry, k, run_cli, tmp_path):
         with pytest.raises(ValueError) as excinfo:
             call(k, state)
         assert str(excinfo.value) == message
+
+
+# --- state files: whole-array load and save against per-pair references -----------
+
+
+def reference_from_json_dict(data):
+    """The per-pair loader that the whole-array one replaced, kept as its reference."""
+    if not isinstance(data, dict) or "n" not in data or "amps" not in data:
+        raise ValueError('state JSON must look like {"n": <int>, "amps": [[re, im], ...]}')
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"bad qubit count {n!r}")
+    check_qubits(n)
+    raw = data["amps"]
+    if not isinstance(raw, list) or len(raw) != (1 << n):
+        raise ValueError(f"expected {1 << n} amplitude pairs for n={n}")
+    amps = np.empty(1 << n, dtype=np.complex128)
+    for k, pair in enumerate(raw):
+        if (
+            not isinstance(pair, (list, tuple))
+            or len(pair) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+        ):
+            raise ValueError(f"amplitude {k} must be a [re, im] number pair")
+        try:
+            amps[k] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise ValueError(f"amplitude {k} is too large for a double") from None
+    return StateVector(n, amps)
+
+
+def reference_to_json_dict(psi):
+    """The per-amplitude writer that the whole-array one replaced, kept as its reference."""
+    return {"n": psi.n, "amps": [[float(a.real), float(a.imag)] for a in psi.amps]}
+
+
+def load_outcome(loader, data):
+    try:
+        psi = loader(data)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return psi.n, psi.amps.dtype, psi.amps.tobytes()
+
+
+GOOD_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**1100),
+    st.integers(min_value=-(2**1100), max_value=-(2**63)),
+    st.sampled_from([2**1024 - 2**970, 2**1024 - 2**971, int("1" * 401)]),
+    st.floats(),  # ±0.0, subnormals, NaN, ±inf
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, float("nan"), float("inf"), float("-inf")]),
+    st.floats().map(np.float64),
+)
+NOT_NUMBERS = st.one_of(
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.integers(-5, 5).map(np.int64),
+    st.floats(width=32).map(np.float32),
+)
+ENTRIES = st.one_of(GOOD_NUMBERS, GOOD_NUMBERS, NOT_NUMBERS)
+PAIRS = st.one_of(
+    st.tuples(GOOD_NUMBERS, GOOD_NUMBERS).map(list),
+    st.tuples(GOOD_NUMBERS, GOOD_NUMBERS),
+    st.tuples(ENTRIES, ENTRIES).map(list),
+    st.tuples(ENTRIES, ENTRIES),
+    st.lists(ENTRIES, max_size=3),  # wrong lengths
+    st.tuples(ENTRIES, ENTRIES, ENTRIES),
+    ENTRIES,  # not a pair at all
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    n=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    as_tuples=st.booleans(),
+    overrides=st.lists(st.tuples(st.integers(0, 1023), PAIRS), max_size=4),
+)
+def test_from_json_dict_matches_per_pair_reference(n, seed, as_tuples, overrides):
+    # a bulk of ordinary pairs (floats, ±0.0, integers, rarely NaN or ±inf),
+    # then drawn entries written over a few of them
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(1 << n, 2)) * 10.0 ** rng.integers(-300, 300, size=(1 << n, 2))
+    values[rng.random(values.shape) < 0.2] = 0.0
+    values[rng.random(values.shape) < 0.1] *= -1.0
+    if rng.random() < 0.1:
+        values.flat[rng.integers(values.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    raw = values.tolist()
+    for k in np.flatnonzero(rng.random(1 << n) < 0.2):
+        raw[k] = [int(v) for v in rng.integers(-(2**62), 2**62, size=2)]
+    if as_tuples:
+        raw = [tuple(pair) for pair in raw]
+    for k, pair in overrides:
+        raw[k % (1 << n)] = pair
+    data = {"n": n, "amps": raw}
+    expected = load_outcome(reference_from_json_dict, data)
+    assert load_outcome(StateVector.from_json_dict, data) == expected
+
+
+@pytest.mark.parametrize("amps, message", [
+    ([[-0.0, 5e-324], (2**63 + 1, -(2**64))], None),
+    ([[np.float64(-0.0), 1.7976931348623157e308], (2**1024 - 2**971, 0)], None),
+    ([[1, 0], [True, 0]], "amplitude 1 must be a [re, im] number pair"),
+    ([(1, 2, 3), [10**400, 0]], "amplitude 0 must be a [re, im] number pair"),
+    ([[0.0, 10**400], "ab"], "amplitude 0 is too large for a double"),
+    ([[np.float64(1), 0], [np.int64(1), 0]], "amplitude 1 must be a [re, im] number pair"),
+    ([[float("nan"), 0], ["x", 0]], "amplitude 1 must be a [re, im] number pair"),
+    ([[float("inf"), 0], [0, 0]], "amplitudes must be finite"),
+])
+def test_from_json_dict_edge_cases_match_reference(amps, message):
+    data = {"n": 1, "amps": amps}
+    expected = load_outcome(reference_from_json_dict, data)
+    assert load_outcome(StateVector.from_json_dict, data) == expected
+    assert expected[0] == (1 if message is None else ValueError)
+    if message is not None:
+        assert expected[1] == message
+
+
+@pytest.mark.parametrize("view", [
+    lambda a: a[::2], lambda a: a[:32][::-1], lambda a: a[1::2][::-1],
+], ids=["step 2", "reversed", "odd reversed"])
+def test_to_json_dict_strided_view_matches_reference(view):
+    rng = np.random.default_rng(17)
+    base = rng.normal(size=64) + 1j * rng.normal(size=64)
+    base[:6] = [0.0, -0.0, complex(-0.0, -0.0), 5e-324j, -5e-324, complex(1e308, -1e-308)]
+    psi = StateVector(5, view(base))
+    assert not psi.amps.flags.c_contiguous
+    expected = json.dumps(reference_to_json_dict(psi))
+    assert json.dumps(psi.to_json_dict()) == expected
+
+
+def test_state_file_round_trip_is_byte_identical_at_n18(run_cli, tmp_path, monkeypatch):
+    # encode --out, then read and cam, once with the whole-array load and
+    # save and once with the per-pair references; files and stdout match
+    pattern = "BOZB" + "B" * 10 + "OBZB"
+    commands = [
+        ["read", "{state}", "70000", "--shots", "1000", "--seed", "3"],
+        ["cam", "{state}", "expr:ab'c'", "--shots", "500", "--seed", "9"],
+    ]
+
+    def run_all(tag):
+        state = str(tmp_path / f"{tag}.json")
+        code, out, _ = run_cli(["encode", pattern, "--out", state])
+        assert (code, out) == (0, "")
+        outputs = [run_cli([state if a == "{state}" else a for a in argv]) for argv in commands]
+        with open(state, "rb") as fh:
+            return fh.read(), outputs
+
+    written, outputs = run_all("whole")
+    assert all(code == 0 for code, _, _ in outputs)
+    monkeypatch.setattr(StateVector, "from_json_dict", staticmethod(reference_from_json_dict))
+    monkeypatch.setattr(StateVector, "to_json_dict", reference_to_json_dict)
+    assert run_all("reference") == (written, outputs)
