@@ -35,21 +35,19 @@ def _check_arity(n: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class BoolFn:
-    """Truth table of a Boolean function; entry k is f(k)."""
+    """Truth table of a Boolean function: a read-only bool array, entry k is f(k)."""
 
     n: int
     table: np.ndarray
 
     def __post_init__(self):
         _check_arity(self.n)
-        table = np.array(self.table, dtype=np.uint8, copy=True)
+        table = _bool_entries(self.table)
         if table.shape != (1 << self.n,):
             raise ValueError(
                 f"expected a table of length {1 << self.n} for arity {self.n}, "
                 f"got shape {table.shape}"
             )
-        if not np.all(table <= 1):
-            raise ValueError("truth table entries must be 0 or 1")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -64,23 +62,35 @@ class BoolFn:
         return hash((self.n, self.table.tobytes()))
 
 
+def _bool_entries(entries) -> np.ndarray:
+    """A fresh bool array of the entries, which must be bools or the numbers 0 and 1."""
+    entries = np.asarray(entries)
+    if entries.dtype == bool:
+        return entries.copy()
+    if np.issubdtype(entries.dtype, np.number):
+        table = np.array(entries, dtype=bool)
+        if np.array_equal(table, entries):  # rejects 0.5, 256, -1 and NaN
+            return table
+    raise ValueError("truth table entries must be 0 or 1")
+
+
 def needle(k0: int, n: int) -> BoolFn:
     """Decoder line: true at k0 and nowhere else."""
     _check_arity(n)
     check_index(k0, n, "k0")
-    table = np.zeros(1 << n, dtype=np.uint8)
-    table[k0] = 1
+    table = np.zeros(1 << n, dtype=bool)
+    table[k0] = True
     return BoolFn(n, table)
 
 
 def from_minterms(indices: Iterable[int], n: int) -> BoolFn:
     """Function that is true exactly on the given input indices."""
     _check_arity(n)
-    table = np.zeros(1 << n, dtype=np.uint8)
+    table = np.zeros(1 << n, dtype=bool)
     for k in indices:
         k = int(k)
         check_index(k, n, "minterm")
-        table[k] = 1
+        table[k] = True
     return BoolFn(n, table)
 
 
@@ -172,7 +182,7 @@ def _tokenize(expr: str, names: tuple[str, ...]) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive descent straight to uint8 columns over all assignments."""
+    """Recursive descent straight to bool columns over all assignments."""
 
     def __init__(self, tokens, expr_len: int, names: tuple[str, ...]):
         self.tokens = tokens
@@ -211,7 +221,7 @@ class _Parser:
         value = self._atom()
         while self._peek_kind() == "PRIME":
             self.pos += 1
-            value = value ^ 1
+            value = ~value
         return value
 
     def _atom(self) -> np.ndarray:
@@ -223,8 +233,7 @@ class _Parser:
             return self._column(text)
         if kind == "CONST":
             self.pos += 1
-            fill = np.uint8(1) if text == "1" else np.uint8(0)
-            return np.full(self.size, fill, dtype=np.uint8)
+            return np.full(self.size, text == "1")
         if kind == "LPAREN":
             self.pos += 1
             value = self._or_expr()
@@ -246,6 +255,6 @@ class _Parser:
             n = len(self.names)
             shift = n - 1 - self.names.index(name)
             idx = np.arange(self.size, dtype=np.uint32)
-            column = ((idx >> shift) & 1).astype(np.uint8)
+            column = ((idx >> shift) & 1) == 1
             self._columns[name] = column
         return column

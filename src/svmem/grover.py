@@ -149,7 +149,7 @@ def run(
     for _ in range(k):
         psi = diffusion(apply_phase(f, psi))
     probs = probabilities(psi)
-    simulated = float(probs[f.table.astype(bool)].sum())
+    simulated = float(probs[f.table].sum())
     samples = sample_counts(probs, shots, seed) if shots else {}
     return GroverReport(
         n=f.n,

@@ -15,21 +15,20 @@ fixed ones.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .boolfn import BoolFn
-from .errors import DegenerateStateError, ResourceLimitError, ShapeError
+from .errors import ResourceLimitError, ShapeError
 from .statevec import (
     DEFAULT_SUPPORT_EPS,
     Factor,
     StateVector,
+    _readout_norm_squared,
     check_index,
     check_tolerance,
-    norm_squared,
 )
 
 ENUMERATION_CAP = 12  # 3^12 ≈ 531k patterns keeps exhaustive streams desk-sized
@@ -75,11 +74,12 @@ def capacity(n: int) -> CapacityReport:
         raise ResourceLimitError(f"capacity of {n} qubits exceeds the cap of {CAPACITY_CAP}")
     rows = []
     total = 0
+    choose = 1  # C(n, 0)
     for i in range(n + 1):
-        choose = math.comb(n, i)
         codes = 1 << (n - i)
         rows.append(CapacityRow(i, choose, codes, choose * codes))
         total += choose * codes
+        choose = choose * (n - i) // (i + 1)  # C(n, i+1), exact
     return CapacityReport(n, tuple(rows), total)
 
 
@@ -140,9 +140,7 @@ def ram_read(
     """
     check_index(k, psi.n, "address")
     check_tolerance(eps)
-    total = norm_squared(psi)
-    if total == 0.0:
-        raise DegenerateStateError("cannot read from the all-zero state")
+    total = _readout_norm_squared(psi)
     magnitude = abs(psi.amps[k])
     return (1 if magnitude > eps else 0, float(magnitude**2 / total))
 
@@ -154,11 +152,9 @@ def cam_match(psi: StateVector, f: BoolFn) -> float:
     """
     if f.n != psi.n:
         raise ShapeError(f"function on {f.n} inputs got a {psi.n}-qubit state")
-    total = norm_squared(psi)
-    if total == 0.0:
-        raise DegenerateStateError("cannot match against the all-zero state")
+    total = _readout_norm_squared(psi)
     weights = np.abs(psi.amps) ** 2
-    return float(weights[f.table.astype(bool)].sum() / total)
+    return float(weights[f.table].sum() / total)
 
 
 def recognizes(
@@ -172,4 +168,4 @@ def recognizes(
     if f.n != psi.n:
         raise ShapeError(f"function on {f.n} inputs got a {psi.n}-qubit state")
     check_tolerance(eps)
-    return np.array_equal(f.table != 0, np.abs(psi.amps) > eps)
+    return np.array_equal(f.table, np.abs(psi.amps) > eps)

@@ -6,13 +6,14 @@ amplitudes at indices 0 and 1. The opposite convention is common in
 other simulators; everything in this package assumes this one.
 
 States are kept unnormalized on purpose: encoding produces exact 0/1
-amplitudes, and only `probabilities` (and the Grover driver) divide by
-the squared norm.
+amplitudes, and only the readouts (`probabilities` here, RAM and CAM
+reads in memory) divide by the squared norm, checked in one place.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -89,9 +90,6 @@ class StateVector:
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         self.amps = amps
-
-    def __len__(self) -> int:
-        return len(self.amps)
 
     def to_json_dict(self) -> dict:
         """JSON form: {"n": n, "amps": [[re, im], ...]} in basis-index order."""
@@ -182,9 +180,20 @@ def support(psi: StateVector, eps: float = DEFAULT_SUPPORT_EPS) -> set[int]:
     return {int(k) for k in np.flatnonzero(np.abs(psi.amps) > eps)}
 
 
-def probabilities(psi: StateVector) -> np.ndarray:
-    """Measurement distribution |amps|^2 / norm_squared, as a float array."""
+def _readout_norm_squared(psi: StateVector) -> float:
+    """The squared norm every readout probability divides by, checked once.
+
+    Package-internal: probabilities, ram_read and cam_match share it.
+    """
     total = norm_squared(psi)
     if total == 0.0:
         raise DegenerateStateError("the all-zero state has no measurement distribution")
+    if not math.isfinite(total):
+        raise ValueError("the squared norm of the state overflows a double")
+    return total
+
+
+def probabilities(psi: StateVector) -> np.ndarray:
+    """Measurement distribution |amps|^2 / norm_squared, as a float array."""
+    total = _readout_norm_squared(psi)
     return np.abs(psi.amps) ** 2 / total

@@ -257,6 +257,32 @@ def test_boolfn_validation():
         BoolFn(1, np.array([0, 2]))
     with pytest.raises(ValueError):
         BoolFn(0, np.array([1]))
+    # truncating, string, wrapping, negative, NaN and object entries
+    for bad in (0.5, "1", 256, -1, float("nan"), None):
+        with pytest.raises(ValueError, match="^truth table entries must be 0 or 1$"):
+            BoolFn(1, [bad, 0])
+
+
+def test_every_form_and_constructor_gives_one_read_only_bool_table():
+    source = np.array([True, False, True, True])
+    fns = [
+        BoolFn(2, source),
+        BoolFn(2, source.astype(np.uint8)),
+        BoolFn(2, source.astype(np.int64)),
+        BoolFn(2, [1.0, 0.0, 1.0, 1.0]),
+        BoolFn(2, [1, 0, 1, 1]),
+        from_minterms([0, 2, 3], 2),
+        parse("a + b'", ["a", "b"]),
+    ]
+    for f in fns:
+        assert f == fns[0]
+        assert hash(f) == hash(fns[0])
+    fns += [needle(3, 2), parse("1", ["a", "b"]), parse("0'", ["a", "b"])]
+    for f in fns:
+        assert f.table.dtype == bool
+        assert not f.table.flags.writeable
+    source[1] = True  # the table is a copy, not a view of the input
+    assert not fns[0].table[1]
 
 
 def test_boolfn_equality_ignores_names():

@@ -342,3 +342,18 @@ def test_error_payload_is_parseable_json(run_cli, state_file):
         assert payload["status"] == "error"
         assert payload["error_message"]
         assert err.startswith("svmem: error:")
+
+
+@pytest.mark.parametrize("argv", [["read", "0"], ["cam", "needle:0"], ["cam", "expr:a", "--shots", "5"]])
+def test_overflowing_norm_is_a_json_error(run_cli, tmp_path, argv):
+    # each amplitude is a finite double, but |a|^2 summed is not
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1, "amps": [[1e308, 0], [1e308, 0]]}))
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]])
+    assert code == 1
+    assert "NaN" not in out
+    assert _json(out) == {
+        "status": "error",
+        "error_message": "the squared norm of the state overflows a double",
+    }
+    assert err.startswith("svmem: error:")

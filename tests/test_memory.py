@@ -1,6 +1,7 @@
 """Capacity combinatorics and the RAM/CAM views of stored words."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,10 @@ from svmem.oracle import apply_marking
 from svmem.statevec import Factor, StateVector, encode, kron, norm_squared, support
 
 Z, O, B = Factor.ZERO, Factor.ONE, Factor.BOTH
+
+# the one message of each readout-norm rejection
+ZERO_STATE = "^the all-zero state has no measurement distribution$"
+NORM_OVERFLOW = "^the squared norm of the state overflows a double$"
 
 
 # --- capacity -----------------------------------------------------------------
@@ -64,6 +69,7 @@ def test_capacity_cap_is_the_last_n_printable_in_4300_digits():
     # 3^n, the total, is the biggest count in the report
     assert 3**CAPACITY_CAP < 10**4300 <= 3 ** (CAPACITY_CAP + 1)
     assert len(str(3**CAPACITY_CAP)) == 4300
+    assert capacity(CAPACITY_CAP).total == 3**CAPACITY_CAP
     with pytest.raises(ResourceLimitError, match=f"exceeds the cap of {CAPACITY_CAP}"):
         capacity(CAPACITY_CAP + 1)
 
@@ -76,8 +82,10 @@ def test_capacity_cap_boundary(monkeypatch):
 
 
 def test_capacity_closed_form_and_bounds():
-    for n in range(41):
-        assert capacity(n).total == 3**n
+    for n in range(65):
+        report = capacity(n)
+        assert report.total == 3**n
+        assert [r.choose for r in report.rows] == [math.comb(n, i) for i in range(n + 1)]
     for n in range(2, 11):
         total = capacity(n).total
         assert (1 << n) < total < (1 << (1 << n))
@@ -157,8 +165,10 @@ def test_ram_read_stored_word(zzb_state):
 def test_ram_read_errors(zzb_state):
     with pytest.raises(ValueError, match=r"0\.\.7"):
         ram_read(zzb_state, 8)
-    with pytest.raises(DegenerateStateError):
+    with pytest.raises(DegenerateStateError, match=ZERO_STATE):
         ram_read(StateVector(1, np.zeros(2, complex)), 0)
+    with pytest.raises(ValueError, match=NORM_OVERFLOW):
+        ram_read(StateVector(1, np.array([1e308, 1e308], complex)), 0)
     for eps in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="eps must be positive"):
             ram_read(zzb_state, 0, eps)
@@ -201,8 +211,10 @@ def test_cam_match_values(zzb_state):
 def test_cam_match_errors(zzb_state):
     with pytest.raises(ShapeError):
         cam_match(zzb_state, needle(0, 2))
-    with pytest.raises(DegenerateStateError):
+    with pytest.raises(DegenerateStateError, match=ZERO_STATE):
         cam_match(StateVector(2, np.zeros(4, complex)), needle(0, 2))
+    with pytest.raises(ValueError, match=NORM_OVERFLOW):
+        cam_match(StateVector(1, np.array([1e308, 1e308], complex)), needle(0, 1))
 
 
 def test_cam_match_certain_iff_support_contained():

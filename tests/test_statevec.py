@@ -205,8 +205,12 @@ def test_probabilities_sum_to_one():
 
 
 def test_probabilities_rejects_zero_state():
-    with pytest.raises(DegenerateStateError):
+    with pytest.raises(
+        DegenerateStateError, match="^the all-zero state has no measurement distribution$"
+    ):
         probabilities(vec(0, 0, 0, 0))
+    with pytest.raises(ValueError, match="^the squared norm of the state overflows a double$"):
+        probabilities(vec(1e308, 1e308))
 
 
 # --- StateVector validation and JSON -----------------------------------------
