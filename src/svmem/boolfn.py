@@ -254,7 +254,9 @@ class _Parser:
         if column is None:
             n = len(self.names)
             shift = n - 1 - self.names.index(name)
-            idx = np.arange(self.size, dtype=np.uint32)
-            column = ((idx >> shift) & 1) == 1
+            # the index splits into (bits above, this bit, bits below)
+            grid = np.zeros((1 << (n - 1 - shift), 2, 1 << shift), dtype=bool)
+            grid[:, 1, :] = True
+            column = grid.reshape(-1)
             self._columns[name] = column
         return column

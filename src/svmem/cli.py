@@ -129,8 +129,7 @@ def _parse_function_spec(spec: str, n: int) -> BoolFn:
 
 def _load_state(path: str) -> StateVector:
     with open(path) as fh:
-        data = json.load(fh)
-    return StateVector.from_json_dict(data)
+        return StateVector.from_json_text(fh.read())
 
 
 def _with_samples(payload: dict, probability: float, args) -> dict:
@@ -145,8 +144,8 @@ def _cmd_capacity(args) -> dict:
     return capacity(args.n).to_json_dict()
 
 
-def _cmd_encode(args) -> dict:
-    return encode(args.pattern).to_json_dict()
+def _cmd_encode(args) -> str:
+    return encode(args.pattern).to_json_text() + "\n"
 
 
 def _cmd_read(args) -> dict:

@@ -36,7 +36,7 @@ def apply_phase(f: BoolFn, psi: StateVector) -> StateVector:
     """amps[x] -> (-1)^f(x) * amps[x]; diagonal with entries ±1."""
     if psi.n != f.n:
         raise ShapeError(f"phase oracle on {f.n} inputs got a {psi.n}-qubit state")
-    signs = 1.0 - 2.0 * f.table
+    signs = np.where(f.table, -1.0, 1.0)
     return StateVector(psi.n, psi.amps * signs)
 
 

@@ -13,7 +13,9 @@ reads in memory) divide by the squared norm, checked in one place.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -97,6 +99,40 @@ class StateVector:
         pairs = np.ascontiguousarray(self.amps).view(np.float64).reshape(-1, 2)
         return {"n": self.n, "amps": pairs.tolist()}
 
+    def to_json_text(self) -> str:
+        """json.dumps(self.to_json_dict()), formatting each distinct amplitude pair once."""
+        # distinct doubles by their bits, so -0.0 stays apart from 0.0
+        values = np.ascontiguousarray(self.amps).view(np.float64)
+        bits, double_of = np.unique(values.view(np.uint64), return_inverse=True)
+        codes, pair_of = np.unique(
+            double_of[0::2] * len(bits) + double_of[1::2], return_inverse=True
+        )
+        if 2 * len(codes) > len(pair_of):
+            return json.dumps(self.to_json_dict())
+        # one json.dumps of the distinct doubles writes NaN and Infinity as json does
+        tokens = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+        re_im = (divmod(code, len(bits)) for code in codes.tolist())
+        pairs = np.array([f"[{tokens[r]}, {tokens[i]}]" for r, i in re_im], dtype=object)
+        return '{"n": %s, "amps": [%s]}' % (json.dumps(self.n), ", ".join(pairs[pair_of]))
+
+    @classmethod
+    def from_json_text(cls, text: str) -> StateVector:
+        """from_json_dict(json.loads(text)), parsing each distinct pair of a canonical file once.
+
+        Text in the shape to_json_text writes, with at most half its pairs
+        distinct, is split into pairs and only the distinct ones go to
+        json.loads; any other text goes to json.loads whole. Either way
+        from_json_dict validates the result. Text nested too deeply for
+        json raises ValueError.
+        """
+        data = _canonical_json(text)
+        if data is None:
+            try:
+                data = json.loads(text)
+            except RecursionError:
+                raise ValueError("state file nests too deeply") from None
+        return cls.from_json_dict(data)
+
     @classmethod
     def from_json_dict(cls, data) -> StateVector:
         if not isinstance(data, dict) or "n" not in data or "amps" not in data:
@@ -121,6 +157,33 @@ class StateVector:
         except OverflowError:
             raise _first_bad_pair(raw) from None
         return cls(n, amps)
+
+
+# the text to_json_text writes, plus the newline the CLI appends
+_CANONICAL_HEAD = re.compile(r'\{"n": (0|[1-9][0-9]{0,8}), "amps": \[\[')
+_CANONICAL_TAIL = "]]}\n"
+_PAIR_SEPARATOR = "], ["
+_NOT_IN_A_PAIR = re.compile(r'[\[\]{}"]')
+
+
+def _canonical_json(text: str) -> dict | None:
+    """json.loads(text) for canonical text whose pairs dedupe to at most half, else None."""
+    head = _CANONICAL_HEAD.match(text)
+    if head is None or not text.endswith(_CANONICAL_TAIL):
+        return None
+    pieces = text[head.end():-len(_CANONICAL_TAIL)].split(_PAIR_SEPARATOR)
+    distinct = list(set(pieces))
+    # with no bracket, brace or quote in a piece, each piece is one list
+    # of scalars wherever it stands, so parsing it alone gives what the
+    # whole text would
+    if 2 * len(distinct) > len(pieces) or any(map(_NOT_IN_A_PAIR.search, distinct)):
+        return None
+    try:
+        parsed = json.loads("[[" + _PAIR_SEPARATOR.join(distinct) + "]]")
+    except ValueError:
+        return None
+    pair = dict(zip(distinct, parsed))
+    return {"n": int(head.group(1)), "amps": list(map(pair.__getitem__, pieces))}
 
 
 def _is_number_type(t: type) -> bool:

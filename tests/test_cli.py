@@ -357,3 +357,14 @@ def test_overflowing_norm_is_a_json_error(run_cli, tmp_path, argv):
         "error_message": "the squared norm of the state overflows a double",
     }
     assert err.startswith("svmem: error:")
+
+
+@pytest.mark.parametrize("argv", [["read", "0"], ["cam", "needle:0"]])
+def test_deeply_nested_state_file_is_a_json_error(run_cli, tmp_path, argv):
+    # json recurses once per bracket, so this ends in a RecursionError inside json
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 1, "amps": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]])
+    assert code == 1
+    assert _json(out) == {"status": "error", "error_message": "state file nests too deeply"}
+    assert err.startswith("svmem: error:")

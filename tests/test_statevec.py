@@ -353,6 +353,20 @@ def reference_to_json_dict(psi):
     return {"n": psi.n, "amps": [[float(a.real), float(a.imag)] for a in psi.amps]}
 
 
+def reference_from_json_text(text):
+    """The text loader's contract: json.loads, then the per-pair loader."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("state file nests too deeply") from None
+    return reference_from_json_dict(data)
+
+
+def reference_to_json_text(psi):
+    """The text writer's contract: json.dumps of the per-amplitude writer's dict."""
+    return json.dumps(reference_to_json_dict(psi))
+
+
 def load_outcome(loader, data):
     try:
         psi = loader(data)
@@ -451,8 +465,9 @@ def test_to_json_dict_strided_view_matches_reference(view):
 
 
 def test_state_file_round_trip_is_byte_identical_at_n18(run_cli, tmp_path, monkeypatch):
-    # encode --out, then read and cam, once with the whole-array load and
-    # save and once with the per-pair references; files and stdout match
+    # encode --out, then read and cam, once with the distinct-pair text and
+    # whole-array load and save, and once with json plus the per-pair
+    # references; files and stdout match
     pattern = "BOZB" + "B" * 10 + "OBZB"
     commands = [
         ["read", "{state}", "70000", "--shots", "1000", "--seed", "3"],
@@ -471,4 +486,128 @@ def test_state_file_round_trip_is_byte_identical_at_n18(run_cli, tmp_path, monke
     assert all(code == 0 for code, _, _ in outputs)
     monkeypatch.setattr(StateVector, "from_json_dict", staticmethod(reference_from_json_dict))
     monkeypatch.setattr(StateVector, "to_json_dict", reference_to_json_dict)
+    monkeypatch.setattr(StateVector, "from_json_text", staticmethod(reference_from_json_text))
+    monkeypatch.setattr(StateVector, "to_json_text", reference_to_json_text)
     assert run_all("reference") == (written, outputs)
+
+
+# --- state files as text: each distinct pair formatted and parsed once ------------
+
+VALUE_POOL = (0.0, -0.0, 1.0, -1.0, 0.1, 5e-324, -5e-324, 1e308, -1.7976931348623157e308)
+VIEWS = {
+    "whole": lambda a, n: a[: 1 << n],
+    "step 2": lambda a, n: a[::2],
+    "reversed": lambda a, n: a[::-1][: 1 << n],
+    "odd reversed": lambda a, n: a[1::2][::-1],
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    n=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    pool_size=st.integers(1, len(VALUE_POOL)),
+    all_distinct=st.booleans(),
+    view=st.sampled_from(sorted(VIEWS)),
+    nonfinite=st.lists(
+        st.tuples(st.integers(0, 1023), st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans()),
+        max_size=3,
+    ),
+)
+def test_to_json_text_matches_reference(n, seed, pool_size, all_distinct, view, nonfinite):
+    # values from a small pool repeat, so the writer dedupes; normal draws
+    # with spread exponents are all distinct, so it falls back
+    rng = np.random.default_rng(seed)
+    if all_distinct:
+        values = rng.normal(size=(2 << n, 2)) * 10.0 ** rng.integers(-300, 300, size=(2 << n, 2))
+    else:
+        values = rng.choice(VALUE_POOL[:pool_size], size=(2 << n, 2))
+    psi = StateVector(n, VIEWS[view](values.view(np.complex128).reshape(-1), n))
+    for k, value, imaginary in nonfinite:  # written in place, past the finiteness check
+        psi.amps[k % (1 << n)] = complex(0.0, value) if imaginary else complex(value, 0.0)
+    assert psi.to_json_text() == reference_to_json_text(psi)
+
+
+# [re, im] bodies written over pairs of a canonical file; only the first few
+# are canonical, the rest test what json accepts, rounds or rejects
+PAIR_BODIES = [
+    "0.0, 0.0", "1.0, -0.0", "5e-324, 1e+308",
+    "0, 0", "1, -0", "NaN, 0.0", "Infinity, -Infinity", "1e999, 0", "-1e-999, 1E2",
+    "1" * 401 + ", 0", f"{2**1024 - 2**970}, 0", f"0, {2**1024 - 2**971}", f"{2**63 + 1}, 0",
+    "01, 0", "1.0", "1.0, 0.0, 0.0", "", "1.0, ", "-, 0", "true, 0", "null, 0",
+    " 1.0 ,\t0.0\n", "1.0,0.0", "[0.0], 0.0", "0.0, [0.0]]", "[0, 0], [0, 0]",
+    '"1", 0', '"], [", 0', "1.0, 0.0}", "{}, 0",
+]
+TEXT_EDITS = {
+    "compact header": lambda t, n, cut: t.replace('": ', '":', 2).replace(', "amps', ',"amps'),
+    "spaced header": lambda t, n, cut: t.replace('{"n": ', '{ "n" : ').replace(', "a', ' ,\n "a'),
+    "swapped keys": lambda t, n, cut: '{"amps": %s, "n": %d}\n' % (t[t.index("[["):-2], n),
+    "no newline": lambda t, n, cut: t[:-1],
+    "two newlines": lambda t, n, cut: t + "\n",
+    "crlf": lambda t, n, cut: t[:-1] + "\r\n",
+    "leading zero in n": lambda t, n, cut: t.replace('{"n": ', '{"n": 0'),
+    "float n": lambda t, n, cut: t.replace(', "amps"', '.0, "amps"'),
+    "n one too big": lambda t, n, cut: t.replace('{"n": %d,' % n, '{"n": %d,' % (n + 1)),
+    "negative n": lambda t, n, cut: t.replace('{"n": ', '{"n": -'),
+    "truncated": lambda t, n, cut: t[: cut % len(t)],
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    n=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    pool_size=st.integers(1, len(VALUE_POOL)),
+    overrides=st.lists(
+        st.tuples(st.integers(0, 255), st.integers(1, 4), st.sampled_from(PAIR_BODIES)), max_size=3
+    ),
+    edit=st.one_of(st.none(), st.sampled_from(sorted(TEXT_EDITS))),
+    cut=st.integers(0, 2**20),
+)
+def test_from_json_text_matches_reference(n, seed, pool_size, overrides, edit, cut):
+    # canonical text from pooled values, then pair bodies written over a
+    # stride of pairs (so bad bodies repeat and may still dedupe), then at
+    # most one edit of the count, header, key order, ending or length
+    rng = np.random.default_rng(seed)
+    values = rng.choice(VALUE_POOL[:pool_size], size=(1 << n, 2))
+    pairs = json.dumps(values.tolist())[2:-2].split("], [")
+    for start, step, body in overrides:
+        chosen = pairs[start % len(pairs)::step]
+        pairs[start % len(pairs)::step] = [body] * len(chosen)
+    text = '{"n": %d, "amps": [[%s]]}\n' % (n, "], [".join(pairs))
+    if edit is not None:
+        text = TEXT_EDITS[edit](text, n, cut)
+    expected = load_outcome(reference_from_json_text, text)
+    assert load_outcome(StateVector.from_json_text, text) == expected
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ('{"n": 1, "amps": ' + "[" * 100_000 + "]" * 100_000 + "}", "state file nests too deeply"),
+    ('{"n": 1, "amps": [[' + "[" * 100_000 + "]" * 100_000 + "]]}\n",
+     "state file nests too deeply"),
+    ('{"n": 2, "amps": [[%s, 0], [0, 0], [0, 0], [0, 0]]}\n' % ("1" * 5000), "(4300 digits)"),
+    ('{"n": 2, "amps": [[1, 0], [1, 0], [1, 0], [1, 12345', "Expecting ',' delimiter"),
+    ('{"n": 2, "amps": [[0, 0], [0, 0], [0, 0], [1, 0]]}\n', 2),
+    ('{"n": 1, "amps": [[1e308, 0], [1e308, 0]]}\n', 1),
+    ('{"n": 0, "amps": [[1.0, 0.0]]}\n', 0),
+], ids=[
+    "deep", "deep in pairs", "5000 digits", "truncated", "word", "overflowing norm", "one pair",
+])
+def test_from_json_text_edge_cases_match_reference(text, outcome):
+    expected = load_outcome(reference_from_json_text, text)
+    assert load_outcome(StateVector.from_json_text, text) == expected
+    if isinstance(outcome, str):
+        assert issubclass(expected[0], ValueError) and outcome in expected[1]
+    else:
+        assert expected[0] == outcome
+
+
+def test_from_json_text_parses_each_distinct_pair_once(monkeypatch):
+    # an encoded word has two distinct pairs, so json.loads sees only them
+    psi = encode("BOZB" + "B" * 8)
+    text = psi.to_json_text() + "\n"
+    seen, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text: seen.append(text) or loads(text))
+    assert StateVector.from_json_text(text).amps.tobytes() == psi.amps.tobytes()
+    assert len(seen) == 1
+    assert sorted(loads(seen[0])) == [[0.0, 0.0], [1.0, 0.0]]
