@@ -101,19 +101,15 @@ class StateVector:
 
     def to_json_text(self) -> str:
         """json.dumps(self.to_json_dict()), formatting each distinct amplitude pair once."""
-        # distinct doubles by their bits, so -0.0 stays apart from 0.0
-        values = np.ascontiguousarray(self.amps).view(np.float64)
-        bits, double_of = np.unique(values.view(np.uint64), return_inverse=True)
-        codes, pair_of = np.unique(
-            double_of[0::2] * len(bits) + double_of[1::2], return_inverse=True
+        # distinct pairs by their 16 bytes, so -0.0 stays apart from 0.0;
+        # one json.dumps of them writes NaN and Infinity as json does
+        pairs = np.ascontiguousarray(self.amps).view(np.dtype("V16"))
+        distinct, pair_of = np.unique(pairs, return_inverse=True)
+        text = json.dumps(distinct.view(np.float64).reshape(-1, 2).tolist())
+        bodies = np.array(text[2:-2].split(_PAIR_SEPARATOR), dtype=object)
+        return '{"n": %s, "amps": [[%s]]}' % (
+            json.dumps(self.n), _PAIR_SEPARATOR.join(bodies[pair_of])
         )
-        if 2 * len(codes) > len(pair_of):
-            return json.dumps(self.to_json_dict())
-        # one json.dumps of the distinct doubles writes NaN and Infinity as json does
-        tokens = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-        re_im = (divmod(code, len(bits)) for code in codes.tolist())
-        pairs = np.array([f"[{tokens[r]}, {tokens[i]}]" for r, i in re_im], dtype=object)
-        return '{"n": %s, "amps": [%s]}' % (json.dumps(self.n), ", ".join(pairs[pair_of]))
 
     @classmethod
     def from_json_text(cls, text: str) -> StateVector:

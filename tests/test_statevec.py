@@ -515,8 +515,8 @@ VIEWS = {
     ),
 )
 def test_to_json_text_matches_reference(n, seed, pool_size, all_distinct, view, nonfinite):
-    # values from a small pool repeat, so the writer dedupes; normal draws
-    # with spread exponents are all distinct, so it falls back
+    # values from a small pool repeat, so pairs share one formatted text;
+    # normal draws with spread exponents make every pair distinct
     rng = np.random.default_rng(seed)
     if all_distinct:
         values = rng.normal(size=(2 << n, 2)) * 10.0 ** rng.integers(-300, 300, size=(2 << n, 2))
