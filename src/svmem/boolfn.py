@@ -16,15 +16,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .statevec import check_index, check_qubits
+from .statevec import Factor, _subcube, check_index, check_qubits
 
 
 def default_var_names(n: int) -> tuple[str, ...]:
-    """a, b, c, ... for small arities; x0, x1, ... past the alphabet."""
+    """a, b, c, ...: one letter per input."""
     _check_arity(n)
-    if n <= 26:
-        return tuple(string.ascii_lowercase[:n])
-    return tuple(f"x{j}" for j in range(n))
+    return tuple(string.ascii_lowercase[:n])
 
 
 def _check_arity(n: int) -> None:
@@ -249,14 +247,9 @@ class _Parser:
         return self.expr_len
 
     def _column(self, name: str) -> np.ndarray:
-        # variable j lives at bit position n-1-j of the input index
-        column = self._columns.get(name)
-        if column is None:
-            n = len(self.names)
-            shift = n - 1 - self.names.index(name)
-            # the index splits into (bits above, this bit, bits below)
-            grid = np.zeros((1 << (n - 1 - shift), 2, 1 << shift), dtype=bool)
-            grid[:, 1, :] = True
-            column = grid.reshape(-1)
-            self._columns[name] = column
-        return column
+        # variable j is true on the subcube that pins qubit j to 1
+        if name not in self._columns:
+            j = self.names.index(name)
+            free = (Factor.BOTH,) * len(self.names)
+            self._columns[name] = _subcube(free[:j] + (Factor.ONE,) + free[j + 1:], bool)
+        return self._columns[name]

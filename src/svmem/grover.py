@@ -33,6 +33,9 @@ _SHOT_CHUNK = 1 << 20
 # on a 2-core host.
 MAX_SHOTS = 1 << 30
 
+# Most iterations one run may take: about ten sin^2 periods at the 24-qubit cap.
+MAX_ITERATIONS = 1 << 16
+
 
 def uniform_state(n: int) -> StateVector:
     """Equal superposition with amplitudes 1/sqrt(2^n)."""
@@ -143,6 +146,8 @@ def run(
         k = optimal_iterations(size, marked)
     else:
         k = int(iterations)
+    if k > MAX_ITERATIONS:  # before the closed form, which overflows for huge k
+        raise ResourceLimitError(f"{k} iterations exceeds the cap of {MAX_ITERATIONS}")
     predicted = predicted_success(size, marked, k)  # checks M and k before allocating
 
     psi = uniform_state(f.n)

@@ -27,6 +27,7 @@ from .statevec import (
     Factor,
     StateVector,
     _readout_norm_squared,
+    _subcube,
     check_index,
     check_tolerance,
 )
@@ -111,22 +112,16 @@ def pattern_for(word: Sequence[int] | np.ndarray) -> tuple[Factor, ...] | None:
     if size == 0 or size & (size - 1):
         raise ValueError(f"word length must be a power of two, got {size}")
     n = size.bit_length() - 1
-    sup = np.flatnonzero(bits)
-    if len(sup) == 0 or n == 0:
+    if not bits.any() or n == 0:
         return None
+    grid = bits.reshape((2,) * n) != 0
     factors = []
-    free = 0
-    for q in range(n):
-        column = (sup >> (n - 1 - q)) & 1
-        if column.all():
-            factors.append(Factor.ONE)
-        elif not column.any():
-            factors.append(Factor.ZERO)
-        else:
-            factors.append(Factor.BOTH)
-            free += 1
-    if len(sup) != (1 << free):
-        return None  # consistent per position, but the bits are not a full subcube
+    for q in range(n):  # which of its two values qubit q takes in the set bits
+        zero, one = (half.any() for half in np.moveaxis(grid, q, 0))
+        factors.append(Factor.BOTH if zero and one else Factor.ONE if one else Factor.ZERO)
+    # per-qubit values are not enough: the set bits must fill the whole subcube
+    if not np.array_equal(grid.reshape(-1), _subcube(factors, bool)):
+        return None
     return tuple(factors)
 
 

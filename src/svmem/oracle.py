@@ -2,10 +2,10 @@
 
 The marking form works on n+1 qubits with the auxiliary as the LEAST
 significant bit and sends |x, q> to |x, q XOR f(x)>; the phase form stays
-on n qubits and flips the sign of marked amplitudes. Both are applied by
-index arithmetic on the truth table (O(2^n)), never by building the
-2^n x 2^n matrix. A separate netlist emitter covers the wiring-diagram
-view: one multi-controlled X per minterm.
+on n qubits and flips the sign of marked amplitudes. Both are applied as
+masks of the truth table (O(2^n)), never by building the 2^n x 2^n
+matrix. A separate netlist emitter covers the wiring-diagram view: one
+multi-controlled X per minterm.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ def apply_marking(f: BoolFn, psi: StateVector) -> StateVector:
         raise ShapeError(
             f"marking oracle on {f.n} inputs needs {f.n + 1} qubits, state has {psi.n}"
         )
-    idx = np.arange(1 << psi.n)
-    # flipping the aux bit wherever f(x)=1 is its own inverse, so gathering
-    # through perm applies the permutation directly
-    perm = idx ^ f.table[idx >> 1]
-    return StateVector(psi.n, psi.amps[perm])
+    # row x holds the amplitudes of |x, 0> and |x, 1>; f(x)=1 swaps them
+    pairs = psi.amps.reshape(-1, 2)
+    return StateVector(psi.n, np.where(f.table[:, None], pairs[:, ::-1], pairs).reshape(-1))
 
 
 def apply_phase(f: BoolFn, psi: StateVector) -> StateVector:
@@ -48,11 +46,9 @@ def emit_circuit(f: BoolFn) -> str:
     as the most significant bit. No decomposition to elementary gates.
     """
     lines = [f"qubits {f.n + 1}"]
-    for m in np.flatnonzero(f.table):
-        controls = ",".join(
-            f"({q},{'+' if (int(m) >> (f.n - 1 - q)) & 1 else '-'})"
-            for q in range(f.n)
-        )
+    # one row of qubit values per minterm, ascending, qubit 0 first
+    for values in np.argwhere(f.table.reshape((2,) * f.n)).tolist():
+        controls = ",".join(f"({q},{'-+'[v]})" for q, v in enumerate(values))
         lines.append(f"mcx controls={controls} target=aux")
     return "\n".join(lines) + "\n"
 
@@ -73,12 +69,14 @@ def replay_circuit(text: str, psi: StateVector) -> StateVector:
         raise ValueError("netlist must start with a 'qubits <count>' header")
     try:
         total = int(lines[0].split()[1])
+        if total < 1:
+            raise ValueError
     except (IndexError, ValueError):
         raise ValueError(f"bad netlist header: {lines[0]!r}") from None
     if psi.n != total:
         raise ShapeError(f"netlist wants {total} qubits, state has {psi.n}")
     idx = np.arange(1 << total)
-    amps = psi.amps
+    amps = psi.amps.copy()
     for line in lines[1:]:
         m = _MCX_LINE.match(line)
         if m is None or not _CONTROL_LIST.match(m.group("controls")):

@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class Factor(Enum):
     ZERO = "Z"  # (1 0)
     ONE = "O"   # (0 1)
     BOTH = "B"  # (1 1)
-
-
-_AXIS_INDEX = {Factor.ZERO: 0, Factor.ONE: 1, Factor.BOTH: slice(None)}
 
 
 def check_qubits(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
@@ -216,10 +213,20 @@ def encode(
     if n < 1:
         raise ValueError("init pattern needs at least one factor")
     check_qubits(n, max_qubits)
-    # axis q of the (2,)*n grid is qubit q, bit n-1-q of the flat index
-    amps = np.zeros((2,) * n, dtype=np.complex128)
-    amps[tuple(_AXIS_INDEX[factor] for factor in factors)] = 1.0
-    return StateVector(n, amps.reshape(-1))
+    return StateVector(n, _subcube(factors, np.complex128))
+
+
+_AXIS_INDEX = {Factor.ZERO: 0, Factor.ONE: 1, Factor.BOTH: slice(None)}
+
+
+def _subcube(factors: Sequence[Factor], dtype) -> np.ndarray:
+    """Flat 2^n array, 1 on the basis states the factors allow and 0 elsewhere.
+
+    The one statement of the bit order: axis q of the (2,)*n grid is qubit q.
+    """
+    grid = np.zeros((2,) * len(factors), dtype=dtype)
+    grid[tuple(_AXIS_INDEX[factor] for factor in factors)] = 1
+    return grid.reshape(-1)
 
 
 def kron(a: StateVector, b: StateVector) -> StateVector:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from svmem.grover import MAX_SHOTS
+from svmem.grover import MAX_ITERATIONS, MAX_SHOTS
 from svmem.memory import CAPACITY_CAP
 
 
@@ -239,6 +239,16 @@ def test_grover_explicit_iterations(run_cli):
 
 def test_grover_bad_iters(run_cli):
     assert run_cli(["grover", "needle:0", "-n", "3", "--iters", "few"])[0] == 1
+
+
+def test_grover_too_many_iters_exit_2(run_cli):
+    code, out, err = run_cli(["grover", "needle:0", "-n", "3", "--iters", "1000000000000"])
+    assert code == 2
+    assert _json(out) == {
+        "status": "error",
+        "error_message": f"1000000000000 iterations exceeds the cap of {MAX_ITERATIONS}",
+    }
+    assert err.startswith("svmem: error:")
 
 
 def test_grover_missing_n(run_cli):

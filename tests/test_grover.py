@@ -153,6 +153,21 @@ def test_run_checks_counts_before_allocating(monkeypatch):
         run(from_minterms(set(), 3), iterations=2)
     with pytest.raises(ValueError, match="iteration count"):
         run(needle(0, 2), iterations=-1)
+    cap = grover.MAX_ITERATIONS
+    with pytest.raises(ResourceLimitError, match=f"^{cap + 1} iterations exceeds the cap of {cap}"):
+        run(needle(0, 3), iterations=cap + 1)
+    # past the range of a double, where the closed form would overflow
+    with pytest.raises(ResourceLimitError, match="iterations exceeds the cap"):
+        run(needle(0, 3), iterations=10**400)
+
+
+def test_run_at_the_iteration_cap(monkeypatch):
+    # AUTO at the qubit cap with one marked state stays inside the cap
+    assert optimal_iterations(1 << 24, 1) < grover.MAX_ITERATIONS
+    monkeypatch.setattr(grover, "MAX_ITERATIONS", 5)
+    assert run(needle(0, 3), iterations=5).iterations == 5
+    with pytest.raises(ResourceLimitError, match="6 iterations exceeds the cap of 5"):
+        run(needle(0, 3), iterations=6)
 
 
 def test_run_matches_closed_form_over_grid():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svmem.boolfn import BoolFn, evaluate, from_minterms, needle, parse
 from svmem.errors import ShapeError
@@ -207,3 +209,50 @@ def test_replay_validation():
         replay_circuit("qubits 2\nmcx controls=(1,-) target=aux\n", psi)
     with pytest.raises(ShapeError):
         replay_circuit("qubits 3\n", psi)
+    for header in ("qubits 0", "qubits -1"):  # the aux alone needs one qubit
+        with pytest.raises(ValueError, match="bad netlist header"):
+            replay_circuit(f"{header}\nmcx controls= target=aux\n", StateVector(0, [1.0]))
+
+
+def test_replay_without_gates_returns_a_fresh_array():
+    psi = _random_state(np.random.default_rng(35), 3)
+    out = replay_circuit("qubits 3\n", psi)
+    assert not np.shares_memory(out.amps, psi.amps)
+    np.testing.assert_array_equal(out.amps, psi.amps)
+
+
+@st.composite
+def _netlists(draw):
+    """Qubit count and gates; each gate is any list of (qubit, polarity) controls."""
+    total = draw(st.integers(1, 8))
+    control = st.tuples(st.integers(0, max(total - 2, 0)), st.sampled_from("+-"))
+    controls = st.lists(control, max_size=2 * total) if total > 1 else st.just([])
+    return total, draw(st.lists(controls, max_size=12))
+
+
+def _replay_reference(total, gates, psi):
+    """Move each amplitude gate by gate: an mcx flips bit 0 where every control matches."""
+    out = np.zeros_like(psi.amps)
+    for j, amp in enumerate(psi.amps):
+        for controls in gates:
+            if all((j >> (total - 1 - q)) & 1 == (polarity == "+") for q, polarity in controls):
+                j ^= 1
+        out[j] += amp
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_netlists())
+def test_replay_matches_reference_on_any_controls(netlist):
+    # partial, repeated and empty control lists, and a qubit named with
+    # both polarities, which fires nowhere
+    total, gates = netlist
+    text = f"qubits {total}\n" + "".join(
+        "mcx controls=" + ",".join(f"({q},{p})" for q, p in controls) + " target=aux\n"
+        for controls in gates
+    )
+    ramp = np.arange(1 << total)
+    psi = StateVector(total, ramp + 1j * ramp[::-1])  # distinct amplitudes
+    np.testing.assert_array_equal(
+        replay_circuit(text, psi).amps, _replay_reference(total, gates, psi)
+    )
