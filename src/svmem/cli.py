@@ -8,6 +8,7 @@ only. Exit codes: 0 ok, 1 domain or usage error, 2 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,7 +36,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every main call."""
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument(
         "--out", metavar="PATH", help="write the result to this file instead of stdout"

@@ -78,6 +78,8 @@ def predicted_success(N: int, M: int, k: int) -> float:
     theta = _validate_space(N, M)
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
+    if 2 * k + 1 > 2**53:  # the angle's factor would no longer be an exact double
+        raise ValueError(f"iteration count {k} is too large for the closed form (max {2**52 - 1})")
     return math.sin((2 * k + 1) * theta) ** 2
 
 

@@ -110,20 +110,22 @@ class StateVector:
 
     @classmethod
     def from_json_text(cls, text: str) -> StateVector:
-        """from_json_dict(json.loads(text)), parsing each distinct pair of a canonical file once.
+        """from_json_dict(json.loads(text)), building a canonical file from its distinct pairs.
 
         Text in the shape to_json_text writes, with at most half its pairs
-        distinct, is split into pairs and only the distinct ones go to
-        json.loads; any other text goes to json.loads whole. Either way
-        from_json_dict validates the result. Text nested too deeply for
+        distinct, is split into pairs; only the distinct ones are parsed,
+        and the amplitudes are gathered from them by index. Any other text,
+        and canonical text whose distinct pairs fail the pair rule, goes to
+        json.loads and from_json_dict whole. Text nested too deeply for
         json raises ValueError.
         """
-        data = _canonical_json(text)
-        if data is None:
-            try:
-                data = json.loads(text)
-            except RecursionError:
-                raise ValueError("state file nests too deeply") from None
+        canonical = _canonical_amps(text)
+        if canonical is not None:
+            return cls(*canonical)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("state file nests too deeply") from None
         return cls.from_json_dict(data)
 
     @classmethod
@@ -137,19 +139,7 @@ class StateVector:
         raw = data["amps"]
         if not isinstance(raw, list) or len(raw) != (1 << n):
             raise ValueError(f"expected {1 << n} amplitude pairs for n={n}")
-        # whole-list passes over the distinct types and lengths; only a
-        # failed check walks the pairs, to name the first bad one
-        pair_types = set(map(type, raw))
-        if not all(issubclass(t, (list, tuple)) for t in pair_types) or set(map(len, raw)) != {2}:
-            raise _first_bad_pair(raw)
-        flat = list(itertools.chain.from_iterable(raw))
-        if not all(_is_number_type(t) for t in set(map(type, flat))):
-            raise _first_bad_pair(raw)
-        try:
-            amps = np.array(flat, dtype=np.float64).view(np.complex128)
-        except OverflowError:
-            raise _first_bad_pair(raw) from None
-        return cls(n, amps)
+        return cls(n, _pair_values(raw))
 
 
 # the text to_json_text writes, plus the newline the CLI appends
@@ -159,24 +149,57 @@ _PAIR_SEPARATOR = "], ["
 _NOT_IN_A_PAIR = re.compile(r'[\[\]{}"]')
 
 
-def _canonical_json(text: str) -> dict | None:
-    """json.loads(text) for canonical text whose pairs dedupe to at most half, else None."""
+def _canonical_amps(text: str) -> tuple[int, np.ndarray] | None:
+    """(n, amplitudes) of canonical text with at most half its pairs distinct, else None.
+
+    None also when a distinct pair fails json or the pair rule, so the
+    json path raises the error with the index of the first bad pair.
+    """
     head = _CANONICAL_HEAD.match(text)
     if head is None or not text.endswith(_CANONICAL_TAIL):
+        return None
+    n = int(head.group(1))
+    if n > DEFAULT_QUBIT_CAP:  # before 1 << n; the json path reports it
         return None
     pieces = text[head.end():-len(_CANONICAL_TAIL)].split(_PAIR_SEPARATOR)
     distinct = list(set(pieces))
     # with no bracket, brace or quote in a piece, each piece is one list
     # of scalars wherever it stands, so parsing it alone gives what the
     # whole text would
-    if 2 * len(distinct) > len(pieces) or any(map(_NOT_IN_A_PAIR.search, distinct)):
+    if (
+        len(pieces) != 1 << n
+        or 2 * len(distinct) > len(pieces)
+        or any(map(_NOT_IN_A_PAIR.search, distinct))
+    ):
         return None
     try:
-        parsed = json.loads("[[" + _PAIR_SEPARATOR.join(distinct) + "]]")
+        values = _pair_values(json.loads("[[" + _PAIR_SEPARATOR.join(distinct) + "]]"))
     except ValueError:
         return None
-    pair = dict(zip(distinct, parsed))
-    return {"n": int(head.group(1)), "amps": list(map(pair.__getitem__, pieces))}
+    code = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(map(code.__getitem__, pieces), np.intp, len(pieces))
+    del pieces  # 2^n strings, freed before the 2^n amplitudes are gathered
+    return n, values[codes]
+
+
+def _pair_values(raw: list) -> np.ndarray:
+    """The pair rule: a list of [re, im] pairs of doubles as complex128, else a ValueError.
+
+    The error names the first pair that is not two non-bool ints or
+    floats, or that overflows a double.
+    """
+    # whole-list passes over the distinct types and lengths; only a
+    # failed check walks the pairs, to name the first bad one
+    pair_types = set(map(type, raw))
+    if not all(issubclass(t, (list, tuple)) for t in pair_types) or set(map(len, raw)) != {2}:
+        raise _first_bad_pair(raw)
+    flat = list(itertools.chain.from_iterable(raw))
+    if not all(_is_number_type(t) for t in set(map(type, flat))):
+        raise _first_bad_pair(raw)
+    try:
+        return np.array(flat, dtype=np.float64).view(np.complex128)
+    except OverflowError:
+        raise _first_bad_pair(raw) from None
 
 
 def _is_number_type(t: type) -> bool:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from svmem.cli import build_parser
 from svmem.grover import MAX_ITERATIONS, MAX_SHOTS
 from svmem.memory import CAPACITY_CAP
 
@@ -325,6 +326,28 @@ def test_unread_flag_is_a_usage_error(run_cli, argv):
     assert out == ""
     assert err.startswith("usage:")
     assert "unrecognized arguments: " + argv[-2] in err
+
+
+def test_one_parser_per_process_leaks_nothing_between_calls(run_cli, state_file):
+    # a usage error, then calls whose flags differ, on the one cached parser;
+    # each output equals that of the same call on a freshly built parser
+    calls = [
+        ["read", state_file, "--shots"],
+        ["read", state_file, "1"],
+        ["cam", state_file, "expr:a'b'", "--shots", "40", "--seed", "5", "--tolerance", "0.5"],
+        ["read", state_file, "0"],
+    ]
+    build_parser.cache_clear()
+    shared = [run_cli(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0]
+    assert shared[0][2].startswith("usage: svmem read")
+    assert shared[3][1] == '{"bit": 1, "probability": 0.5}\n'  # no shots, default tolerance
 
 
 def test_unknown_command(run_cli):

@@ -93,6 +93,11 @@ def test_predicted_success_errors():
         predicted_success(8, 0, 1)
     with pytest.raises(ValueError):
         predicted_success(8, 1, -1)
+    # 2k + 1 must be an exact double: 2^53 - 1 is the last odd one
+    assert 0.0 <= predicted_success(8, 1, 2**52 - 1) <= 1.0
+    for k in (2**52, 2**53 + 1, 10**400):
+        with pytest.raises(ValueError, match=f"iteration count {k} is too large"):
+            predicted_success(8, 1, k)
 
 
 def test_optimal_iterations_peak_within_first_arch():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svmem import statevec
 from svmem.boolfn import count_functions, evaluate, from_minterms, needle, parse
 from svmem.errors import DegenerateStateError, ResourceLimitError
 from svmem.grover import uniform_state
@@ -590,8 +592,12 @@ def test_from_json_text_matches_reference(n, seed, pool_size, overrides, edit, c
     ('{"n": 2, "amps": [[0, 0], [0, 0], [0, 0], [1, 0]]}\n', 2),
     ('{"n": 1, "amps": [[1e308, 0], [1e308, 0]]}\n', 1),
     ('{"n": 0, "amps": [[1.0, 0.0]]}\n', 0),
+    ('{"n": 3, "amps": [[%s]]}\n' % "], [".join(["1.0, 0.0"] * 7), "expected 8 amplitude pairs"),
+    ('{"n": 3, "amps": [[%s]]}\n' % "], [".join(["1.0, 0.0"] * 9), "expected 8 amplitude pairs"),
+    ('{"n": 3, "amps": [[%s]]}\n' % "], [".join(["1, 0", "1.0, 0.0", "0, 0", "0.0, -0.0"] * 2), 3),
 ], ids=[
     "deep", "deep in pairs", "5000 digits", "truncated", "word", "overflowing norm", "one pair",
+    "7 of 8 pairs", "9 of 8 pairs", "one value in two texts",
 ])
 def test_from_json_text_edge_cases_match_reference(text, outcome):
     expected = load_outcome(reference_from_json_text, text)
@@ -611,3 +617,66 @@ def test_from_json_text_parses_each_distinct_pair_once(monkeypatch):
     assert StateVector.from_json_text(text).amps.tobytes() == psi.amps.tobytes()
     assert len(seen) == 1
     assert sorted(loads(seen[0])) == [[0.0, 0.0], [1.0, 0.0]]
+
+
+# --- the canonical path's own accept rule, against json + the per-pair loader -----
+
+def canonical_text(n, pieces):
+    return '{"n": %d, "amps": [[%s]]}\n' % (n, "], [".join(pieces))
+
+
+@pytest.mark.parametrize("n", [25, 999_999_999])
+def test_over_cap_header_is_rejected_before_two_to_the_n(n):
+    # a short body under a huge count: no 2^n-sized int or list is built
+    text = canonical_text(n, ["1.0, 0.0"] * 4)
+    expected = load_outcome(reference_from_json_text, text)
+    assert expected == (ResourceLimitError, f"{n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}")
+    tracemalloc.start()
+    try:
+        outcome = load_outcome(StateVector.from_json_text, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == expected
+    assert peak < 1 << 20  # 1 << 999_999_999 alone is 125 MB
+
+
+BAD_PIECES = {
+    "true": "true, 0.0", "null": "0.0, null", "one number": "1", "three numbers": "1, 2, 3",
+    "empty": "", "401 digits": "1" * 401 + ", 0", "NaN": "NaN, 0.0", "1e999": "0.0, 1e999",
+}
+
+
+@pytest.mark.parametrize("first_bad", [0, 5])
+@pytest.mark.parametrize("bad", list(BAD_PIECES))
+def test_repeated_bad_piece_fails_as_json_would(bad, first_bad, monkeypatch):
+    # two distinct pieces in eight, so the canonical path parses them, finds
+    # the bad one and hands the text to json whole
+    pieces = ["0.0, 0.0"] * 8
+    pieces[first_bad::3] = [BAD_PIECES[bad]] * len(pieces[first_bad::3])
+    text = canonical_text(3, pieces)
+    seen, pair_values = [], statevec._pair_values
+    monkeypatch.setattr(
+        statevec, "_pair_values", lambda raw: seen.append(len(raw)) or pair_values(raw)
+    )
+    outcome = load_outcome(StateVector.from_json_text, text)
+    assert seen[0] == 2  # the canonical path checked the two distinct pieces
+    assert outcome == load_outcome(reference_from_json_text, text)
+    assert issubclass(outcome[0], ValueError)
+    if bad not in ("NaN", "1e999"):  # those two parse, then fail the finiteness check
+        assert f"amplitude {first_bad} " in outcome[1]
+
+
+def test_canonical_file_skips_from_json_dict(monkeypatch):
+    # an encoded n=16 file is built from its distinct pairs; a file with a
+    # compact header is not canonical and goes through from_json_dict
+    calls, from_json_dict = [], StateVector.from_json_dict
+    spy = staticmethod(lambda data: calls.append(data["n"]) or from_json_dict(data))
+    monkeypatch.setattr(StateVector, "from_json_dict", spy)
+    psi = encode("BOZB" + "B" * 12)
+    text = psi.to_json_text() + "\n"
+    assert StateVector.from_json_text(text).amps.tobytes() == psi.amps.tobytes()
+    assert calls == []
+    compact = text.replace('{"n": 16, "amps"', '{"n":16,"amps"')
+    assert StateVector.from_json_text(compact).amps.tobytes() == psi.amps.tobytes()
+    assert calls == [16]
