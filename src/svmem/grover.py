@@ -18,7 +18,7 @@ import numpy as np
 from .boolfn import BoolFn
 from .errors import NoSolutionError, ResourceLimitError
 from .oracle import apply_phase
-from .statevec import StateVector, check_qubits, probabilities
+from .statevec import StateVector, _check_finite, check_qubits, probabilities
 
 AUTO = "auto"
 
@@ -43,13 +43,15 @@ def uniform_state(n: int) -> StateVector:
         raise ValueError(f"need at least one qubit, got {n}")
     check_qubits(n)
     amp = 1.0 / math.sqrt(1 << n)
-    return StateVector(n, np.full(1 << n, amp, dtype=np.complex128))
+    return StateVector._adopt(n, np.full(1 << n, amp, dtype=np.complex128))
 
 
 def diffusion(psi: StateVector) -> StateVector:
     """Inversion about the mean: every amplitude a becomes 2*mean - a."""
     mean = psi.amps.mean()
-    return StateVector(psi.n, 2.0 * mean - psi.amps)
+    amps = 2.0 * mean - psi.amps
+    _check_finite(amps)  # the mean of finite amplitudes can overflow
+    return StateVector._adopt(psi.n, amps)
 
 
 def _validate_space(N: int, M: int) -> float:

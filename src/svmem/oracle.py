@@ -27,7 +27,7 @@ def apply_marking(f: BoolFn, psi: StateVector) -> StateVector:
         )
     # row x holds the amplitudes of |x, 0> and |x, 1>; f(x)=1 swaps them
     pairs = psi.amps.reshape(-1, 2)
-    return StateVector(psi.n, np.where(f.table[:, None], pairs[:, ::-1], pairs).reshape(-1))
+    return StateVector._adopt(psi.n, np.where(f.table[:, None], pairs[:, ::-1], pairs).reshape(-1))
 
 
 def apply_phase(f: BoolFn, psi: StateVector) -> StateVector:
@@ -35,7 +35,7 @@ def apply_phase(f: BoolFn, psi: StateVector) -> StateVector:
     if psi.n != f.n:
         raise ShapeError(f"phase oracle on {f.n} inputs got a {psi.n}-qubit state")
     signs = np.where(f.table, -1.0, 1.0)
-    return StateVector(psi.n, psi.amps * signs)
+    return StateVector._adopt(psi.n, psi.amps * signs)
 
 
 def emit_circuit(f: BoolFn) -> str:
@@ -89,4 +89,4 @@ def replay_circuit(text: str, psi: StateVector) -> StateVector:
             bit = (idx >> (total - 1 - q)) & 1
             hit &= bit == (1 if polarity == "+" else 0)
         amps = amps[idx ^ hit.astype(idx.dtype)]
-    return StateVector(total, amps)
+    return StateVector._adopt(total, amps)

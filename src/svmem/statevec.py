@@ -8,6 +8,11 @@ other simulators; everything in this package assumes this one.
 States are kept unnormalized on purpose: encoding produces exact 0/1
 amplitudes, and only the readouts (`probabilities` here, RAM and CAM
 reads in memory) divide by the squared norm, checked in one place.
+
+Every state this package returns holds read-only amplitudes that it
+allocated itself (`StateVector._adopt`), so a readout computes the squared
+norm of such a state once and keeps it. A caller's `StateVector(n, arr)`
+keeps arr as given, writable if it was, and its norm is never kept.
 """
 
 from __future__ import annotations
@@ -52,6 +57,12 @@ def check_index(k: int, n: int, what: str) -> None:
         raise ValueError(f"{what} {k} out of range for {n} qubits (valid: 0..{(1 << n) - 1})")
 
 
+def _check_finite(amps: np.ndarray) -> None:
+    """Raise ValueError unless every amplitude is finite."""
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("amplitudes must be finite")
+
+
 def check_tolerance(eps: float) -> None:
     """Raise ValueError unless the readout tolerance is a positive number (NaN is not)."""
     if not eps > 0:
@@ -86,9 +97,25 @@ class StateVector:
             raise ValueError(
                 f"expected {1 << self.n} amplitudes for n={self.n}, got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
+        _check_finite(amps)
         self.amps = amps
+
+    @classmethod
+    def _adopt(cls, n: int, amps: np.ndarray) -> StateVector:
+        """Package-internal: the state over amps, 2^n complex128 values svmem just allocated.
+
+        No copy and no checks: the caller has built amps in shape and run
+        _check_finite wherever a value can stop being finite. amps and
+        every array on its .base chain are svmem's own temporaries, and
+        are frozen here, so the readouts may keep this state's squared norm.
+        """
+        base = amps
+        while isinstance(base, np.ndarray):
+            base.setflags(write=False)
+            base = base.base
+        psi = cls.__new__(cls)
+        psi.n, psi.amps, psi._kept_norm = n, amps, None
+        return psi
 
     def to_json_dict(self) -> dict:
         """JSON form: {"n": n, "amps": [[re, im], ...]} in basis-index order."""
@@ -121,7 +148,9 @@ class StateVector:
         """
         canonical = _canonical_amps(text)
         if canonical is not None:
-            return cls(*canonical)
+            n, amps = canonical
+            _check_finite(amps)
+            return cls._adopt(n, amps)
         try:
             data = json.loads(text)
         except RecursionError:
@@ -139,7 +168,9 @@ class StateVector:
         raw = data["amps"]
         if not isinstance(raw, list) or len(raw) != (1 << n):
             raise ValueError(f"expected {1 << n} amplitude pairs for n={n}")
-        return cls(n, _pair_values(raw))
+        amps = _pair_values(raw)
+        _check_finite(amps)
+        return cls._adopt(n, amps)
 
 
 # the text to_json_text writes, plus the newline the CLI appends
@@ -236,7 +267,7 @@ def encode(
     if n < 1:
         raise ValueError("init pattern needs at least one factor")
     check_qubits(n, max_qubits)
-    return StateVector(n, _subcube(factors, np.complex128))
+    return StateVector._adopt(n, _subcube(factors, np.complex128))
 
 
 _AXIS_INDEX = {Factor.ZERO: 0, Factor.ONE: 1, Factor.BOTH: slice(None)}
@@ -255,7 +286,9 @@ def _subcube(factors: Sequence[Factor], dtype) -> np.ndarray:
 def kron(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; entry p*2^b.n + q equals a.amps[p] * b.amps[q]."""
     check_qubits(a.n + b.n)
-    return StateVector(a.n + b.n, np.kron(a.amps, b.amps))
+    amps = np.kron(a.amps, b.amps)
+    _check_finite(amps)  # a product of two finite amplitudes can overflow
+    return StateVector._adopt(a.n + b.n, amps)
 
 
 def norm_squared(psi: StateVector) -> float:
@@ -272,13 +305,23 @@ def support(psi: StateVector, eps: float = DEFAULT_SUPPORT_EPS) -> set[int]:
 def _readout_norm_squared(psi: StateVector) -> float:
     """The squared norm every readout probability divides by, checked once.
 
-    Package-internal: probabilities, ram_read and cam_match share it.
+    Package-internal: probabilities, ram_read and cam_match share it. A
+    state from _adopt keeps the checked value and reuses it while its
+    amplitudes are still the same read-only array; a writable array, as in
+    a caller's state or a deep copy, is summed again on every call. A caller
+    who thaws a returned array, writes into it and freezes it again with no
+    readout in between leaves the kept value stale.
     """
+    kept = getattr(psi, "_kept_norm", None)
+    if kept is not None and kept[0] is psi.amps and not psi.amps.flags.writeable:
+        return kept[1]
     total = norm_squared(psi)
     if total == 0.0:
         raise DegenerateStateError("the all-zero state has no measurement distribution")
     if not math.isfinite(total):
         raise ValueError("the squared norm of the state overflows a double")
+    if hasattr(psi, "_kept_norm") and not psi.amps.flags.writeable:
+        psi._kept_norm = (psi.amps, total)
     return total
 
 

@@ -5,17 +5,20 @@ lists of ints), so each property also checks that the form of the input
 makes no difference downstream.
 """
 
+import copy
+import json
 import math
+import pickle
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svmem.boolfn import BoolFn
-from svmem.grover import run
-from svmem.memory import pattern_for
+from svmem.grover import diffusion, run, uniform_state
+from svmem.memory import cam_match, pattern_for, ram_read
 from svmem.oracle import apply_marking, apply_phase, emit_circuit, replay_circuit
-from svmem.statevec import Factor, StateVector, encode, kron
+from svmem.statevec import Factor, StateVector, encode, kron, probabilities
 
 MINUS = StateVector(1, np.array([1.0, -1.0], dtype=complex))  # |−⟩, unnormalized
 
@@ -23,8 +26,8 @@ PROPERTY = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def truth_tables(draw, max_n=8, nonempty=False):
-    n = draw(st.integers(1, max_n))
+def truth_tables(draw, max_n=8, nonempty=False, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     bits = draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n))
     if nonempty and not any(bits):
         bits[draw(st.integers(0, (1 << n) - 1))] = True
@@ -73,3 +76,71 @@ def test_simulated_success_follows_the_closed_form(f, k):
 @given(st.lists(st.sampled_from(list(Factor)), min_size=1, max_size=12))
 def test_encoded_word_decodes_to_its_pattern(pattern):
     assert pattern_for(encode(pattern).amps.real) == tuple(pattern)
+
+
+def _table(draw, n):
+    return draw(truth_tables(min_n=n, max_n=n))
+
+
+# every function that builds a fresh state, from drawn inputs on n qubits
+BUILDERS = {
+    "encode": lambda draw, n, seed: encode(
+        draw(st.lists(st.sampled_from(list(Factor)), min_size=n, max_size=n))),
+    "kron": lambda draw, n, seed: kron(_random_state(seed, n - 1), _random_state(seed + 1, 1)),
+    "uniform_state": lambda draw, n, seed: uniform_state(n),
+    "diffusion": lambda draw, n, seed: diffusion(_random_state(seed, n)),
+    "apply_phase": lambda draw, n, seed: apply_phase(_table(draw, n), _random_state(seed, n)),
+    "apply_marking": lambda draw, n, seed: apply_marking(
+        _table(draw, n - 1), _random_state(seed, n)),
+    "replay_circuit": lambda draw, n, seed: replay_circuit(
+        emit_circuit(_table(draw, n - 1)), _random_state(seed, n)),
+    # three distinct pairs in 2^n >= 8: the canonical text is built by index
+    "from_json_text canonical": lambda draw, n, seed: StateVector.from_json_text(
+        _pooled_state(seed, n).to_json_text() + "\n"),
+    # no trailing newline: not canonical, so json parses it whole
+    "from_json_text json": lambda draw, n, seed: StateVector.from_json_text(
+        json.dumps(_random_state(seed, n).to_json_dict())),
+    "from_json_dict": lambda draw, n, seed: StateVector.from_json_dict(
+        _random_state(seed, n).to_json_dict()),
+}
+
+
+def _pooled_state(seed, n):
+    values = np.random.default_rng(seed).choice([0.0, 1.0, -2.5], size=1 << n).astype(complex)
+    values[0] = 1.0  # never the all-zero state
+    return StateVector(n, values)
+
+
+def _readouts(psi, f, k):
+    """ram_read, cam_match and probabilities of psi, as bytes."""
+    bit, p_read = ram_read(psi, k)
+    return bit, np.array([p_read, cam_match(psi, f)]).tobytes() + probabilities(psi).tobytes()
+
+
+def _follows_its_amplitudes(psi, f, k):
+    return _readouts(psi, f, k) == _readouts(StateVector(psi.n, psi.amps.copy()), f, k)
+
+
+def _grow(amps, k):
+    """Write a larger magnitude at address k, so the squared norm changes."""
+    amps[k] = 2 * abs(amps[k]) + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(sorted(BUILDERS)), st.integers(3, 8), st.integers(0, 2**32 - 2))
+def test_a_kept_norm_is_never_stale(data, builder, n, seed):
+    psi = BUILDERS[builder](data.draw, n, seed)
+    f = _table(data.draw, n)
+    k = data.draw(st.integers(0, (1 << n) - 1))
+    assert not psi.amps.flags.writeable
+    assert _follows_its_amplitudes(psi, f, k)  # the first readout
+    assert _follows_its_amplitudes(psi, f, k)  # with the norm kept
+    for twin in (copy.deepcopy(psi), pickle.loads(pickle.dumps(psi))):
+        _grow(twin.amps, k)  # writable: numpy copies and unpickles into fresh arrays
+        assert _follows_its_amplitudes(twin, f, k)
+    try:
+        psi.amps.setflags(write=True)
+    except ValueError:  # a view of a frozen array cannot be thawed
+        return
+    _grow(psi.amps, k)
+    assert _follows_its_amplitudes(psi, f, k)

@@ -1,5 +1,6 @@
 """State construction, tensor products, norms, and probability views."""
 
+import copy
 import itertools
 import json
 import tracemalloc
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from svmem import statevec
 from svmem.boolfn import count_functions, evaluate, from_minterms, needle, parse
 from svmem.errors import DegenerateStateError, ResourceLimitError
-from svmem.grover import uniform_state
+from svmem.grover import diffusion, run, uniform_state
 from svmem.memory import ram_read
+from svmem.oracle import apply_marking, apply_phase, emit_circuit, replay_circuit
 from svmem.statevec import (
     DEFAULT_QUBIT_CAP,
     Factor,
@@ -253,6 +255,81 @@ def test_json_rejects_bad_inputs():
         StateVector.from_json_dict({"n": 1, "amps": [[1, 0], ["x", 0]]})
     with pytest.raises(ValueError):
         StateVector.from_json_dict({"n": 1, "amps": [[1, 0], [1]]})
+
+
+# --- read-only returned states and the norm kept on them -----------------------
+
+RETURNED_STATES = {
+    "encode": lambda: encode("ZB"),
+    "kron": lambda: kron(encode("B"), vec(1, -2)),
+    "uniform_state": lambda: uniform_state(2),
+    "diffusion": lambda: diffusion(vec(1, 2, 3, 4)),
+    "apply_phase": lambda: apply_phase(needle(1, 2), vec(1, 2, 3, 4)),
+    "apply_marking": lambda: apply_marking(needle(1, 1), vec(1, 2, 3, 4)),
+    "replay_circuit": lambda: replay_circuit(emit_circuit(needle(1, 1)), vec(1, 2, 3, 4)),
+    "from_json_text canonical": lambda: StateVector.from_json_text(
+        encode("BBZ").to_json_text() + "\n"),
+    "from_json_text json": lambda: StateVector.from_json_text('{"amps": [[1, 0], [0, 2]], "n": 1}'),
+    "from_json_dict": lambda: StateVector.from_json_dict({"n": 1, "amps": [[1, 0], [0, 2]]}),
+    "run final_state": lambda: run(needle(1, 2)).final_state,
+    "run final_state, 0 iterations": lambda: run(needle(1, 2), iterations=0).final_state,
+}
+
+
+@pytest.mark.parametrize("build", RETURNED_STATES.values(), ids=RETURNED_STATES.keys())
+def test_returned_states_are_read_only(build):
+    psi = build()
+    array = psi.amps
+    while isinstance(array, np.ndarray):  # no writable array under the amplitudes either
+        assert not array.flags.writeable
+        array = array.base
+    with pytest.raises(ValueError, match="read-only"):
+        psi.amps[0] = 0
+
+
+def test_caller_state_keeps_its_array_as_given():
+    arr = np.array([1, 2j], dtype=np.complex128)
+    psi = StateVector(1, arr)
+    assert psi.amps is arr and arr.flags.writeable
+    assert probabilities(psi).tolist() == [0.2, 0.8]
+    arr[1] = 0
+    assert probabilities(psi).tolist() == [1.0, 0.0]
+    # a read-only view of a writable array can still change: its norm is not kept
+    base = np.array([1, 1], dtype=np.complex128)
+    view = base[:]
+    view.setflags(write=False)
+    psi = StateVector(1, view)
+    assert probabilities(psi).tolist() == [0.5, 0.5]
+    base[1] = 0
+    assert probabilities(psi).tolist() == [1.0, 0.0]
+
+
+def test_readouts_sum_a_returned_state_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(statevec, "norm_squared", lambda psi: calls.append(psi) or 4.0)
+    psi = encode("BB")
+    assert [ram_read(psi, k) for k in range(4)] == [(1, 0.25)] * 4
+    probabilities(psi)
+    assert len(calls) == 1
+    twin = copy.deepcopy(psi)  # numpy deep copies are writable: summed on every readout
+    assert twin.amps.flags.writeable
+    ram_read(twin, 0)
+    ram_read(twin, 0)
+    assert len(calls) == 3
+    psi.amps = encode("ZB").amps  # another array, even a read-only one, is summed again
+    ram_read(psi, 0)
+    assert len(calls) == 4
+
+
+def test_kron_and_diffusion_still_check_finiteness():
+    # a product or a mean of finite amplitudes can overflow; errstate keeps
+    # numpy's RuntimeWarning from firing before the check
+    big = StateVector(1, [1e308, 1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            kron(big, big)
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            diffusion(big)
 
 
 # --- one size cap for every entry point ----------------------------------------
