@@ -2,10 +2,10 @@
 
 The marking form works on n+1 qubits with the auxiliary as the LEAST
 significant bit and sends |x, q> to |x, q XOR f(x)>; the phase form stays
-on n qubits and flips the sign of marked amplitudes. Both are applied as
-masks of the truth table (O(2^n)), never by building the 2^n x 2^n
-matrix. A separate netlist emitter covers the wiring-diagram view: one
-multi-controlled X per minterm.
+on n qubits and flips the sign of marked amplitudes. Both are masks of the
+truth table (O(2^n)), never the 2^n x 2^n matrix. The netlist emitter writes
+one multi-controlled X per minterm; replay swaps the (input, aux) pair rows
+in each gate's subcube, built from its controls, never from a truth table.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .boolfn import BoolFn
 from .errors import ShapeError
-from .statevec import StateVector
+from .statevec import Factor, StateVector, _subcube
 
 
 def apply_marking(f: BoolFn, psi: StateVector) -> StateVector:
@@ -61,8 +61,8 @@ _CONTROL_LIST = re.compile(r"^(\(\d+,[+-]\)(,\(\d+,[+-]\))*)?$")
 def replay_circuit(text: str, psi: StateVector) -> StateVector:
     """Run a netlist gate by gate with multi-controlled-X semantics.
 
-    Independent of apply_marking on purpose: each mcx flips the auxiliary
-    (bit 0) on exactly those basis states whose control bits match.
+    Independent of apply_marking on purpose: each mcx swaps the (input, aux)
+    pair rows in the subcube its controls pick, never read from a truth table.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("qubits "):
@@ -75,18 +75,18 @@ def replay_circuit(text: str, psi: StateVector) -> StateVector:
         raise ValueError(f"bad netlist header: {lines[0]!r}") from None
     if psi.n != total:
         raise ShapeError(f"netlist wants {total} qubits, state has {psi.n}")
-    idx = np.arange(1 << total)
-    amps = psi.amps.copy()
+    pairs = psi.amps.reshape(-1, 2).copy()
     for line in lines[1:]:
         m = _MCX_LINE.match(line)
         if m is None or not _CONTROL_LIST.match(m.group("controls")):
             raise ValueError(f"bad netlist line: {line!r}")
-        hit = np.ones(len(idx), dtype=bool)
+        factors = [Factor.BOTH] * (total - 1)  # None: listed with both polarities
         for q_text, polarity in _CONTROL.findall(m.group("controls")):
             q = int(q_text)
             if q >= total - 1:
                 raise ValueError(f"control qubit {q} out of range in: {line!r}")
-            bit = (idx >> (total - 1 - q)) & 1
-            hit &= bit == (1 if polarity == "+" else 0)
-        amps = amps[idx ^ hit.astype(idx.dtype)]
-    return StateVector._adopt(total, amps)
+            want = Factor.ONE if polarity == "+" else Factor.ZERO
+            factors[q] = want if factors[q] in (Factor.BOTH, want) else None
+        if None not in factors:
+            pairs = np.where(_subcube(factors, bool)[:, None], pairs[:, ::-1], pairs)
+    return StateVector._adopt(total, pairs.reshape(-1))

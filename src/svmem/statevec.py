@@ -276,7 +276,7 @@ _AXIS_INDEX = {Factor.ZERO: 0, Factor.ONE: 1, Factor.BOTH: slice(None)}
 def _subcube(factors: Sequence[Factor], dtype) -> np.ndarray:
     """Flat 2^n array, 1 on the basis states the factors allow and 0 elsewhere.
 
-    The one statement of the bit order: axis q of the (2,)*n grid is qubit q.
+    The only statement of the bit order: axis q of the (2,)*n grid is qubit q.
     """
     grid = np.zeros((2,) * len(factors), dtype=dtype)
     grid[tuple(_AXIS_INDEX[factor] for factor in factors)] = 1

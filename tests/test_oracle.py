@@ -1,5 +1,7 @@
 """Marking/phase oracle semantics, netlist emission, and replay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,9 @@ def test_replay_validation():
         replay_circuit("qubits 2\nccx controls=(0,-) target=aux\n", psi)
     with pytest.raises(ValueError, match="out of range"):
         replay_circuit("qubits 2\nmcx controls=(1,-) target=aux\n", psi)
+    with pytest.raises(ValueError, match="control qubit 1 out of range"):
+        # a conflict already stops the gate, but every control is still checked
+        replay_circuit("qubits 2\nmcx controls=(0,+),(0,-),(1,+) target=aux\n", psi)
     with pytest.raises(ShapeError):
         replay_circuit("qubits 3\n", psi)
     for header in ("qubits 0", "qubits -1"):  # the aux alone needs one qubit
@@ -219,6 +224,21 @@ def test_replay_without_gates_returns_a_fresh_array():
     out = replay_circuit("qubits 3\n", psi)
     assert not np.shares_memory(out.amps, psi.amps)
     np.testing.assert_array_equal(out.amps, psi.amps)
+
+
+def test_replay_holds_about_two_copies_of_the_state():
+    # a copy of the state and each gate's output; no 2^(n+1) int64 index arrays
+    f = from_minterms({0, 12345, (1 << 16) - 1}, 16)
+    psi = kron(encode("B" * 16), encode("O"))
+    text = emit_circuit(f)
+    tracemalloc.start()
+    try:
+        out = replay_circuit(text, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out.amps, apply_marking(f, psi).amps)
+    assert peak <= 2.5 * psi.amps.nbytes
 
 
 @st.composite
