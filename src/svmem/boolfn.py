@@ -9,6 +9,7 @@ look at syntax.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -131,76 +132,58 @@ def parse(expr: str, var_names: Sequence[str]) -> BoolFn:
     if len(set(names)) != len(names):
         raise ValueError("variable names must be unique")
     for name in names:
-        if not name or not all(c.isalnum() or c == "_" for c in name) or name in ("0", "1"):
+        if not re.fullmatch(r"\w+", name) or name in ("0", "1"):
             raise ValueError(f"bad variable name {name!r}")
-    parser = _Parser(_tokenize(expr, names), len(expr), names)
+    parser = _Parser(_tokenize(expr, names), names)
     try:
         table = parser.parse()
     except RecursionError:
-        raise ParseError("expression nests too deeply", parser._position_or_end()) from None
+        raise ParseError("expression nests too deeply", parser.tokens[parser.pos][2]) from None
     return BoolFn(len(names), table)
 
 
 def _tokenize(expr: str, names: tuple[str, ...]) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token; the last is always END at len(expr)."""
+    # alternation is tried left to right: whitespace and punctuation, then
+    # the names longest first, then constants, then any other word
     by_length = sorted(names, key=len, reverse=True)
+    pattern = (
+        r"\s+|(?P<PRIME>')|(?P<OR>\+)|(?P<LPAREN>\()|(?P<RPAREN>\))"
+        rf"|(?P<VAR>{'|'.join(map(re.escape, by_length))})"
+        r"|(?P<CONST>[01])|(?P<WORD>\w+)|(?P<OTHER>.)|(?P<END>\Z)"
+    )
     tokens = []
-    i = 0
-    while i < len(expr):
-        ch = expr[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "'":
-            tokens.append(("PRIME", ch, i))
-            i += 1
-        elif ch == "+":
-            tokens.append(("OR", ch, i))
-            i += 1
-        elif ch == "(":
-            tokens.append(("LPAREN", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(("RPAREN", ch, i))
-            i += 1
-        else:
-            name = next((v for v in by_length if expr.startswith(v, i)), None)
-            if name is not None:
-                tokens.append(("VAR", name, i))
-                i += len(name)
-            elif ch in "01":
-                tokens.append(("CONST", ch, i))
-                i += 1
-            elif ch.isalnum() or ch == "_":
-                j = i
-                while j < len(expr) and (expr[j].isalnum() or expr[j] == "_"):
-                    j += 1
-                raise ParseError(f"unknown identifier {expr[i:j]!r}", i)
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i)
+    for m in re.finditer(pattern, expr):
+        kind, text, at = m.lastgroup, m.group(), m.start()
+        if kind == "WORD":
+            raise ParseError(f"unknown identifier {text!r}", at)
+        if kind == "OTHER":
+            raise ParseError(f"unexpected character {text!r}", at)
+        if kind is not None:
+            tokens.append((kind, text, at))
     return tokens
 
 
 class _Parser:
     """Recursive descent straight to bool columns over all assignments."""
 
-    def __init__(self, tokens, expr_len: int, names: tuple[str, ...]):
+    def __init__(self, tokens, names: tuple[str, ...]):
         self.tokens = tokens
         self.pos = 0
-        self.expr_len = expr_len
         self.names = names
         self.size = 1 << len(names)
-        self._columns: dict[str, np.ndarray] = {}
 
     def parse(self) -> np.ndarray:
-        if not self.tokens:
+        if self._peek_kind() == "END":
             raise ParseError("empty expression", 0)
         value = self._or_expr()
-        if self.pos < len(self.tokens):
-            _, text, at = self.tokens[self.pos]
+        kind, text, at = self.tokens[self.pos]
+        if kind != "END":
             raise ParseError(f"unexpected {text!r}", at)
         return value
 
-    def _peek_kind(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+    def _peek_kind(self) -> str:
+        return self.tokens[self.pos][0]
 
     def _or_expr(self) -> np.ndarray:
         value = self._and_term()
@@ -223,9 +206,9 @@ class _Parser:
         return value
 
     def _atom(self) -> np.ndarray:
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of expression", self.expr_len)
         kind, text, at = self.tokens[self.pos]
+        if kind == "END":
+            raise ParseError("unexpected end of expression", at)
         if kind == "VAR":
             self.pos += 1
             return self._column(text)
@@ -236,20 +219,13 @@ class _Parser:
             self.pos += 1
             value = self._or_expr()
             if self._peek_kind() != "RPAREN":
-                raise ParseError("missing ')'", self._position_or_end())
+                raise ParseError("missing ')'", self.tokens[self.pos][2])
             self.pos += 1
             return value
         raise ParseError(f"unexpected {text!r}", at)
 
-    def _position_or_end(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][2]
-        return self.expr_len
-
     def _column(self, name: str) -> np.ndarray:
         # variable j is true on the subcube that pins qubit j to 1
-        if name not in self._columns:
-            j = self.names.index(name)
-            free = (Factor.BOTH,) * len(self.names)
-            self._columns[name] = _subcube(free[:j] + (Factor.ONE,) + free[j + 1:], bool)
-        return self._columns[name]
+        j = self.names.index(name)
+        free = (Factor.BOTH,) * len(self.names)
+        return _subcube(free[:j] + (Factor.ONE,) + free[j + 1:], bool)

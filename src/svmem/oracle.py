@@ -15,7 +15,7 @@ import re
 import numpy as np
 
 from .boolfn import BoolFn
-from .errors import ShapeError
+from .errors import ResourceLimitError, ShapeError
 from .statevec import Factor, StateVector, _subcube
 
 
@@ -38,24 +38,40 @@ def apply_phase(f: BoolFn, psi: StateVector) -> StateVector:
     return StateVector._adopt(psi.n, psi.amps * signs)
 
 
+# Longest netlist text emit_circuit builds: the 256 MiB of the amplitude cap.
+MAX_NETLIST_BYTES = 256 << 20
+
+
 def emit_circuit(f: BoolFn) -> str:
     """Netlist realizing the marking oracle, one mcx per minterm.
 
     Header `qubits <n+1>` counts the auxiliary target. Control polarity
     is '+' for a 1-bit and '-' for a 0-bit of the minterm, with qubit 0
     as the most significant bit. No decomposition to elementary gates.
+    Raises ResourceLimitError before building a text over MAX_NETLIST_BYTES.
     """
-    lines = [f"qubits {f.n + 1}"]
-    # one row of qubit values per minterm, ascending, qubit 0 first
-    for values in np.argwhere(f.table.reshape((2,) * f.n)).tolist():
-        controls = ",".join(f"({q},{'-+'[v]})" for q, v in enumerate(values))
-        lines.append(f"mcx controls={controls} target=aux")
-    return "\n".join(lines) + "\n"
+    header = f"qubits {f.n + 1}\n"
+    # every line is this template with its n polarity bytes filled in
+    template = "mcx controls=" + ",".join(f"({q},{{}})" for q in range(f.n)) + " target=aux\n"
+    size = len(header) + int(np.count_nonzero(f.table)) * len(template.format(*"+" * f.n))
+    if size > MAX_NETLIST_BYTES:
+        raise ResourceLimitError(
+            f"a netlist of {size} bytes exceeds the cap of {MAX_NETLIST_BYTES}"
+        )
+    lines = [header]
+    # one row of qubit values per minterm, ascending, qubit 0 first; the
+    # rows are freed before the join
+    lines += (
+        template.format(*["-+"[v] for v in values])
+        for values in np.argwhere(f.table.reshape((2,) * f.n)).tolist()
+    )
+    return "".join(lines)
 
 
-_MCX_LINE = re.compile(r"^mcx controls=(?P<controls>\S*) target=aux$")
+_MCX_LINE = re.compile(
+    r"mcx controls=(?P<controls>(?:\(\d+,[+-]\)(?:,\(\d+,[+-]\))*)?) target=aux"
+)
 _CONTROL = re.compile(r"\((\d+),([+-])\)")
-_CONTROL_LIST = re.compile(r"^(\(\d+,[+-]\)(,\(\d+,[+-]\))*)?$")
 
 
 def replay_circuit(text: str, psi: StateVector) -> StateVector:
@@ -77,8 +93,8 @@ def replay_circuit(text: str, psi: StateVector) -> StateVector:
         raise ShapeError(f"netlist wants {total} qubits, state has {psi.n}")
     pairs = psi.amps.reshape(-1, 2).copy()
     for line in lines[1:]:
-        m = _MCX_LINE.match(line)
-        if m is None or not _CONTROL_LIST.match(m.group("controls")):
+        m = _MCX_LINE.fullmatch(line)
+        if m is None:
             raise ValueError(f"bad netlist line: {line!r}")
         factors = [Factor.BOTH] * (total - 1)  # None: listed with both polarities
         for q_text, polarity in _CONTROL.findall(m.group("controls")):

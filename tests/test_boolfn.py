@@ -1,6 +1,7 @@
 """Truth tables: constructors, the expression parser, and counting."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from svmem.boolfn import (
     BoolFn,
     count_functions,
+    default_var_names,
     evaluate,
     from_minterms,
     needle,
@@ -83,6 +85,9 @@ def test_parse_constant_juxtaposition():
 
 def test_parse_whitespace_insignificant():
     assert parse("a' b'", ["a", "b"]) == parse("a'b'", ["a", "b"])
+    # any Unicode whitespace separates tokens, as str.isspace() says
+    for space in ("\x1c", "\u00a0"):
+        assert truth_set(parse(f"a{space}b", ["a", "b"])) == {3}
 
 
 def test_parse_single_letter_run_is_conjunction():
@@ -97,25 +102,45 @@ def test_parse_multi_character_names():
 
 
 def test_parse_unknown_identifier_position():
-    with pytest.raises(ParseError, match="zoo"):
-        parse("a+zoo", ["a", "b"])
-    try:
-        parse("a+zoo", ["a", "b"])
-    except ParseError as exc:
-        assert exc.position == 2
+    # a word is a run of Unicode letters, digits and '_', as str.isalnum() says
+    for expr, names, word, position in [
+        ("a+zoo", ["a", "b"], "zoo", 2),
+        ("a\u00b2", ["a"], "\u00b2", 1),
+        ("\u00e9", ["a"], "\u00e9", 0),
+    ]:
+        with pytest.raises(ParseError, match=f"^unknown identifier {word!r}") as excinfo:
+            parse(expr, names)
+        assert excinfo.value.position == position
 
 
 def test_parse_syntax_errors():
-    with pytest.raises(ParseError, match="end of expression"):
-        parse("a+", ["a"])
-    with pytest.raises(ParseError, match="missing"):
-        parse("(a", ["a"])
-    with pytest.raises(ParseError, match="unexpected"):
-        parse(")a", ["a"])
-    with pytest.raises(ParseError, match="empty"):
-        parse("   ", ["a"])
-    with pytest.raises(ParseError, match="unexpected character"):
-        parse("a&b", ["a", "b"])
+    # an error at the end reports len(expr)
+    for expr, names, message, position in [
+        ("a+", ["a"], "unexpected end of expression", 2),
+        ("(a", ["a"], "missing ')'", 2),
+        ("(a b", ["a", "b"], "missing ')'", 4),
+        (")a", ["a"], "unexpected ')'", 0),
+        ("a b)", ["a", "b"], "unexpected ')'", 3),
+        ("   ", ["a"], "empty expression", 0),
+        ("", ["a"], "empty expression", 0),
+        ("a&b", ["a", "b"], "unexpected character '&'", 1),
+    ]:
+        with pytest.raises(ParseError) as excinfo:
+            parse(expr, names)
+        assert str(excinfo.value) == f"{message} (at position {position})"
+        assert excinfo.value.position == position
+
+
+def test_parse_holds_a_few_columns():
+    # each variable's column is built where it appears, not kept per name
+    names = default_var_names(20)
+    tracemalloc.start()
+    try:
+        parse("".join(names), names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (1 << 20)
 
 
 def test_parse_deep_nesting_is_a_parse_error():
@@ -141,6 +166,9 @@ def test_parse_rejects_bad_variable_sets():
         parse("a", ["a", "a"])
     with pytest.raises(ValueError, match="bad variable name"):
         parse("a", ["a", "b+c"])
+    with pytest.raises(ValueError, match="bad variable name"):
+        parse("a", ["a\x1c"])
+    assert truth_set(parse("\u00e9 b'", ["\u00e9", "b"])) == {2}
     with pytest.raises(ValueError):
         parse("a", [])
 

@@ -49,6 +49,17 @@ def test_capacity_over_cap_exit_2(run_cli):
     assert err.startswith("svmem: error:")
 
 
+def test_oracle_emit_over_cap_exit_2(run_cli):
+    # 2^24 lines of 182 bytes, refused before any line is built
+    code, out, err = run_cli(["oracle-emit", "expr:1", "-n", "24"])
+    assert code == 2
+    assert _json(out) == {
+        "status": "error",
+        "error_message": "a netlist of 3053453322 bytes exceeds the cap of 268435456",
+    }
+    assert err.startswith("svmem: error:")
+
+
 def test_capacity_usage_error(run_cli):
     code, _, err = run_cli(["capacity", "three"])
     assert code == 1

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svmem.boolfn import BoolFn, evaluate, from_minterms, needle, parse
-from svmem.errors import ShapeError
+from svmem import oracle
+from svmem.errors import ResourceLimitError, ShapeError
 from svmem.oracle import apply_marking, apply_phase, emit_circuit, replay_circuit
 from svmem.statevec import StateVector, encode, kron, norm_squared
 
@@ -174,6 +175,18 @@ def test_emit_minterms_ascend():
         "mcx controls=(0,-),(1,+),(2,+) target=aux",
         "mcx controls=(0,+),(1,-),(2,+) target=aux",
     ]
+
+
+def test_emit_netlist_cap(monkeypatch):
+    f = from_minterms({1, 2}, 2)
+    size = len(emit_circuit(f))
+    monkeypatch.setattr(oracle, "MAX_NETLIST_BYTES", size)
+    assert len(emit_circuit(f)) == size
+    monkeypatch.setattr(oracle, "MAX_NETLIST_BYTES", size - 1)
+    with pytest.raises(
+        ResourceLimitError, match=f"^a netlist of {size} bytes exceeds the cap of {size - 1}$"
+    ):
+        emit_circuit(f)
 
 
 def test_replay_reproduces_marking_on_basis_states():
