@@ -40,6 +40,9 @@ def apply_phase(f: BoolFn, psi: StateVector) -> StateVector:
 
 # Longest netlist text emit_circuit builds: the 256 MiB of the amplitude cap.
 MAX_NETLIST_BYTES = 256 << 20
+# emit_circuit lists the minterms of at most 2^16 table entries at a time
+_EMIT_CHUNK_QUBITS = 16
+_SIGNS = np.frombuffer(b"-+", np.uint8)  # a control's polarity byte, by qubit value
 
 
 def emit_circuit(f: BoolFn) -> str:
@@ -50,22 +53,35 @@ def emit_circuit(f: BoolFn) -> str:
     as the most significant bit. No decomposition to elementary gates.
     Raises ResourceLimitError before building a text over MAX_NETLIST_BYTES.
     """
-    header = f"qubits {f.n + 1}\n"
-    # every line is this template with its n polarity bytes filled in
-    template = "mcx controls=" + ",".join(f"({q},{{}})" for q in range(f.n)) + " target=aux\n"
-    size = len(header) + int(np.count_nonzero(f.table)) * len(template.format(*"+" * f.n))
+    header = f"qubits {f.n + 1}\n".encode("ascii")
+    # every line is this template with its n polarity bytes set
+    template = np.frombuffer(
+        ("mcx controls=" + ",".join(f"({q},+)" for q in range(f.n)) + " target=aux\n").encode("ascii"),
+        np.uint8,
+    )
+    size = len(header) + int(np.count_nonzero(f.table)) * template.size
     if size > MAX_NETLIST_BYTES:
         raise ResourceLimitError(
             f"a netlist of {size} bytes exceeds the cap of {MAX_NETLIST_BYTES}"
         )
-    lines = [header]
-    # one row of qubit values per minterm, ascending, qubit 0 first; the
-    # rows are freed before the join
-    lines += (
-        template.format(*["-+"[v] for v in values])
-        for values in np.argwhere(f.table.reshape((2,) * f.n)).tolist()
-    )
-    return "".join(lines)
+    text = np.empty(size, np.uint8)
+    text[:len(header)] = np.frombuffer(header, np.uint8)
+    lines = text[len(header):].reshape(-1, template.size)
+    lines[:] = template
+    sign_column = np.flatnonzero(template == ord("+"))  # qubit q's polarity byte
+    # the minterms ascend: one block of lines per value of the leading qubits,
+    # in order, each listing the qubit values of the rest, qubit 0 first
+    lead = max(0, f.n - _EMIT_CHUNK_QUBITS)
+    grid = f.table.reshape((2,) * f.n)
+    row = 0
+    for prefix in np.ndindex((2,) * lead):
+        values = np.argwhere(grid[prefix])
+        block = lines[row:row + len(values)]
+        block[:, sign_column[:lead]] = _SIGNS[list(prefix)]
+        block[:, sign_column[lead:]] = _SIGNS[values]
+        row += len(values)
+    del values  # freed before the one decode
+    return str(memoryview(text), "ascii")
 
 
 _MCX_LINE = re.compile(

@@ -57,6 +57,15 @@ def check_index(k: int, n: int, what: str) -> None:
         raise ValueError(f"{what} {k} out of range for {n} qubits (valid: 0..{(1 << n) - 1})")
 
 
+# 2^14284 is the largest power of two that Python prints in its default 4300 digits
+_LONGEST_PRINTED_POWER = 14284
+
+
+def _power_of_two(n: int) -> str:
+    """2^n in decimal as a message prints it, or "2^n" where that would be too long to print."""
+    return str(1 << n) if n <= _LONGEST_PRINTED_POWER else f"2^{n}"
+
+
 def _check_finite(amps: np.ndarray) -> None:
     """Raise ValueError unless every amplitude is finite."""
     if not np.all(np.isfinite(amps)):
@@ -93,9 +102,10 @@ class StateVector:
         if self.n < 0:
             raise ValueError(f"qubit count must be >= 0, got {self.n}")
         amps = np.asarray(self.amps, dtype=np.complex128)
-        if amps.shape != (1 << self.n,):
+        # no array has 2^63 items, so 1 << n is built only where it can match
+        if self.n >= 63 or amps.shape != (1 << self.n,):
             raise ValueError(
-                f"expected {1 << self.n} amplitudes for n={self.n}, got shape {amps.shape}"
+                f"expected {_power_of_two(self.n)} amplitudes for n={self.n}, got shape {amps.shape}"
             )
         _check_finite(amps)
         self.amps = amps
@@ -124,27 +134,46 @@ class StateVector:
         return {"n": self.n, "amps": pairs.tolist()}
 
     def to_json_text(self) -> str:
-        """json.dumps(self.to_json_dict()), formatting each distinct amplitude pair once."""
-        # distinct pairs by their 16 bytes, so -0.0 stays apart from 0.0;
-        # one json.dumps of them writes NaN and Infinity as json does
-        pairs = np.ascontiguousarray(self.amps).view(np.dtype("V16"))
-        distinct, pair_of = np.unique(pairs, return_inverse=True)
-        text = json.dumps(distinct.view(np.float64).reshape(-1, 2).tolist())
-        bodies = np.array(text[2:-2].split(_PAIR_SEPARATOR), dtype=object)
-        return '{"n": %s, "amps": [[%s]]}' % (
-            json.dumps(self.n), _PAIR_SEPARATOR.join(bodies[pair_of])
-        )
+        """json.dumps(self.to_json_dict()), formatting each distinct amplitude pair once.
+
+        Pairs are numbered by the bits of their two parts, so -0.0 stays
+        apart from 0.0. One json.dumps writes the distinct pairs, NaN and
+        Infinity as json writes them, and the text is gathered from the
+        bytes of that listing by number: no Python object per amplitude.
+        """
+        bits = np.ascontiguousarray(self.amps).view(np.uint64).reshape(-1, 2)
+        codes, count = _dense_codes(bits[:, 0])
+        if count < codes.size:  # real parts repeat: number the pairs by both parts
+            im_codes, im_count = _dense_codes(bits[:, 1])
+            if im_count > 1:
+                codes, count = _dense_codes(codes * im_count + im_codes)
+            del im_codes
+        distinct = np.empty(count, np.complex128)
+        distinct[codes] = self.amps
+        pairs = distinct.view(np.float64).reshape(-1, 2).tolist()
+        # the listing is the text of the distinct pairs alone: the same head,
+        # the pairs in code order, the same tail; at most 50 bytes a pair, so
+        # _piece_words accepts it
+        text = json.dumps({"n": self.n, "amps": pairs})
+        start = text.index("[[") + 2
+        listing = np.frombuffer(text.encode("ascii"), np.uint8)
+        del distinct, pairs, text
+        body = _joined_pairs(_piece_words(listing, start, listing.size - 2), codes)
+        del codes
+        out = np.concatenate((listing[:start], body, listing[-3:]))
+        del body  # the gathered rows, freed before the one decode
+        return str(memoryview(out), "ascii")
 
     @classmethod
     def from_json_text(cls, text: str) -> StateVector:
         """from_json_dict(json.loads(text)), building a canonical file from its distinct pairs.
 
-        Text in the shape to_json_text writes, with at most half its pairs
-        distinct, is split into pairs; only the distinct ones are parsed,
-        and the amplitudes are gathered from them by index. Any other text,
-        and canonical text whose distinct pairs fail the pair rule, goes to
-        json.loads and from_json_dict whole. Text nested too deeply for
-        json raises ValueError.
+        Text in the shape to_json_text writes (plus a newline), ASCII, with
+        at most half its pairs distinct, is read on its bytes: each distinct
+        pair is parsed once, and the amplitudes are gathered from them by
+        index. Any other text, and canonical text whose distinct pairs fail
+        the pair rule, goes to json.loads and from_json_dict whole. Text
+        nested too deeply for json raises ValueError.
         """
         canonical = _canonical_amps(text)
         if canonical is not None:
@@ -176,41 +205,133 @@ class StateVector:
 # the text to_json_text writes, plus the newline the CLI appends
 _CANONICAL_HEAD = re.compile(r'\{"n": (0|[1-9][0-9]{0,8}), "amps": \[\[')
 _CANONICAL_TAIL = "]]}\n"
-_PAIR_SEPARATOR = "], ["
-_NOT_IN_A_PAIR = re.compile(r'[\[\]{}"]')
+_SEPARATOR = int.from_bytes(b"], [", "little")
+# _FILL[k]: 0xFF in the low 8 - k bytes of a little-endian word; or-ed onto
+# the 8 bytes that end a piece's k bytes, it keeps them and marks the rest
+# with a byte that ASCII never holds, so a word also says how many it keeps
+_FILL = np.array([(1 << 8 * (8 - k)) - 1 for k in range(9)], dtype="<u8")
+_FILL_BYTE = 0xFF
+_HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # odd, so the hash is one-to-one in each word
 
 
 def _canonical_amps(text: str) -> tuple[int, np.ndarray] | None:
     """(n, amplitudes) of canonical text with at most half its pairs distinct, else None.
 
-    None also when a distinct pair fails json or the pair rule, so the
-    json path raises the error with the index of the first bad pair.
+    Works on the text's bytes. Each pair's piece (its text between the
+    brackets) is keyed by its bytes in 8-byte words: one word is the key
+    itself, more are hashed, and then every piece is checked against one
+    piece of its key. None also when a distinct pair fails json or the pair
+    rule, so the json path raises the error with the index of the first bad
+    pair.
     """
     head = _CANONICAL_HEAD.match(text)
-    if head is None or not text.endswith(_CANONICAL_TAIL):
+    if head is None or not text.endswith(_CANONICAL_TAIL) or not text.isascii():
         return None
     n = int(head.group(1))
     if n > DEFAULT_QUBIT_CAP:  # before 1 << n; the json path reports it
         return None
-    pieces = text[head.end():-len(_CANONICAL_TAIL)].split(_PAIR_SEPARATOR)
-    distinct = list(set(pieces))
-    # with no bracket, brace or quote in a piece, each piece is one list
-    # of scalars wherever it stands, so parsing it alone gives what the
-    # whole text would
-    if (
-        len(pieces) != 1 << n
-        or 2 * len(distinct) > len(pieces)
-        or any(map(_NOT_IN_A_PAIR.search, distinct))
-    ):
+    stop = len(text) - len(_CANONICAL_TAIL) + 1  # just past the tail's first "]"
+    # with no bracket, brace or quote in a piece, each piece is one list of
+    # scalars wherever it stands, so parsing it alone gives what the whole
+    # text would
+    if any(text.find(c, head.end(), stop) >= 0 for c in '{}"'):
         return None
+    words = _piece_words(np.frombuffer(text.encode("ascii"), np.uint8), head.end(), stop)
+    if words is None or words.shape[1] != 1 << n:
+        return None
+    keys = words[0] if len(words) == 1 else _hash_words(words)
+    distinct = _sorted_distinct(keys)
+    if 2 * distinct.size > keys.size:
+        return None
+    codes = np.searchsorted(distinct, keys)
+    chosen = np.empty((len(words), distinct.size), words.dtype)
+    del keys, distinct
+    chosen[:, codes] = words  # one piece per code: any of them, as all are equal
+    if len(words) > 1 and not np.array_equal(np.take(chosen, codes, axis=1), words):
+        return None  # two pieces share a hash
+    del words
     try:
-        values = _pair_values(json.loads("[[" + _PAIR_SEPARATOR.join(distinct) + "]]"))
+        values = _pair_values(json.loads(b"[[" + _joined_pairs(chosen).tobytes() + b"]]"))
     except ValueError:
         return None
-    code = dict(zip(distinct, range(len(distinct))))
-    codes = np.fromiter(map(code.__getitem__, pieces), np.intp, len(pieces))
-    del pieces  # 2^n strings, freed before the 2^n amplitudes are gathered
     return n, values[codes]
+
+
+def _piece_words(buf: np.ndarray, start: int, stop: int) -> np.ndarray | None:
+    """(words, pieces) of the pieces "p0], [p1], [ ... ], [pk]" that fill buf[start:stop], else None.
+
+    buf[stop - 1] is the last "]", and 8 bytes precede start. Each piece
+    becomes its bytes in little-endian uint64 words, 0xFF-filled: word j
+    holds bytes 8j..8j+7 as the high bytes of the 8 that end at the last of
+    them, so equal words mean equal bytes and width. None unless every
+    other "]" is followed by ", [" and no other "[" appears, so that no
+    piece holds a bracket, and unless the words, as many per piece as the
+    widest needs, are no more than buf's bytes.
+    """
+    ends = start + np.flatnonzero(buf[start:stop] == ord("]"))
+    inner = ends[:-1]
+    if (
+        np.count_nonzero(buf[start:stop] == ord("[")) != inner.size
+        or not np.all(_at_every_byte(buf, "<u4")[inner] == _SEPARATOR)
+    ):
+        return None
+    low = np.concatenate(([start], inner + 4))
+    count = max(1, -(-int((ends - low).max()) // 8))  # words per piece
+    if count * ends.size > buf.size:  # a few pieces far wider than the rest
+        return None
+    words = np.empty((count, ends.size), "<u8")
+    windows = _at_every_byte(buf, "<u8")
+    high = np.empty_like(low)
+    for word in words:  # low is where the word's bytes start; high, where they end
+        np.minimum(np.add(low, 8, out=high), ends, out=high)
+        np.take(_FILL, np.subtract(high, low, out=low), out=word)
+        word |= windows[np.subtract(high, 8, out=low)]
+        low, high = high, low
+    return words
+
+
+def _at_every_byte(buf: np.ndarray, dtype: str) -> np.ndarray:
+    """A view of the uint8 buf whose item i is the word of the given dtype that starts at byte i."""
+    size = np.dtype(dtype).itemsize
+    return np.ndarray((buf.size - size + 1,), dtype, buf, strides=(1,))
+
+
+def _hash_words(words: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each piece's words; equal pieces hash alike, others rarely."""
+    keys = words[0].copy()
+    for word in words[1:]:
+        keys *= _HASH_MULTIPLIER
+        keys += word
+    return keys
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in ascending order."""
+    ordered = np.sort(keys)
+    first = np.empty(ordered.size, bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
+def _dense_codes(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each key's index among the distinct keys in ascending order, and their count."""
+    distinct = _sorted_distinct(keys)
+    return np.searchsorted(distinct, keys), distinct.size
+
+
+def _joined_pairs(words: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+    """The uint8 text "p], [q], [ ... ], [z" of the pieces in words, in the order of codes.
+
+    Each piece becomes a row of its words' bytes and "], [", and the rows
+    are gathered by code; the fill bytes are then dropped, if any row has them.
+    """
+    table = np.empty((words.shape[1], 8 * len(words) + 4), np.uint8)
+    table[:, :-4] = np.ascontiguousarray(words.T).view(np.uint8)
+    table[:, -4:] = np.frombuffer(b"], [", np.uint8)
+    rows = table if codes is None else np.take(table, codes, axis=0)
+    body = rows[rows != _FILL_BYTE] if np.any(table == _FILL_BYTE) else rows.reshape(-1)
+    return body[:-4]
 
 
 def _pair_values(raw: list) -> np.ndarray:

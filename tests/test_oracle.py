@@ -189,6 +189,40 @@ def test_emit_netlist_cap(monkeypatch):
         emit_circuit(f)
 
 
+def reference_emit(f):
+    """The per-line netlist writer that the one-buffer emitter replaced."""
+    lines = [f"qubits {f.n + 1}\n"]
+    for k in np.flatnonzero(f.table):
+        bits = format(int(k), f"0{f.n}b")  # qubit 0 is the most significant bit
+        controls = ",".join(f"({q},{'+' if b == '1' else '-'})" for q, b in enumerate(bits))
+        lines.append(f"mcx controls={controls} target=aux\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("n, minterms", [
+    (1, {1}), (3, set(range(8))), (10, {0, 5, 512, 1023}),
+    (17, {0, 1, 65535, 65536, 99999, (1 << 17) - 1}),  # past one 2^16-entry block
+    (18, set(range(0, 1 << 18, 4099)) | {(1 << 18) - 1}),
+])
+def test_emit_matches_per_line_reference(n, minterms):
+    f = from_minterms(minterms, n)
+    assert emit_circuit(f) == reference_emit(f)
+
+
+def test_emit_all_true_holds_about_two_texts():
+    # the byte buffer and the one decoded str; no list per minterm or line
+    f = BoolFn(18, np.ones(1 << 18, bool))
+    tracemalloc.start()
+    try:
+        text = emit_circuit(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == (1 << 18) + 1
+    assert text.endswith("mcx controls=" + ",".join(f"({q},+)" for q in range(18)) + " target=aux\n")
+    assert peak <= 2.2 * len(text)
+
+
 def test_replay_reproduces_marking_on_basis_states():
     # exhaustive over basis states, random functions, n up to 5
     rng = np.random.default_rng(33)

@@ -8,7 +8,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svmem import statevec
@@ -222,6 +222,24 @@ def test_probabilities_rejects_zero_state():
 def test_statevector_rejects_wrong_length():
     with pytest.raises(ValueError, match="expected 8 amplitudes"):
         StateVector(3, np.zeros(4, complex))
+
+
+@pytest.mark.parametrize("n, count", [
+    (3, "8"), (64, str(2**64)), (14284, str(1 << 14284)),
+    (14285, "2^14285"), (20000, "2^20000"), (10**8, "2^100000000"),
+])
+def test_statevector_wrong_length_message_without_two_to_the_n(n, count):
+    # 2^n prints in decimal where Python prints an int that long; an n that
+    # no array can match is rejected without building 2^n
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as excinfo:
+            StateVector(n, np.ones(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(excinfo.value) == f"expected {count} amplitudes for n={n}, got shape (2,)"
+    assert peak < 1 << 20  # 1 << 10**8 alone is 12 MiB
 
 
 def test_statevector_rejects_nonfinite():
@@ -593,6 +611,8 @@ VIEWS = {
         max_size=3,
     ),
 )
+# ±0.0 in both parts, among values whose texts are 3 to 24 bytes wide
+@example(n=10, seed=5, pool_size=len(VALUE_POOL), all_distinct=False, view="whole", nonfinite=[])
 def test_to_json_text_matches_reference(n, seed, pool_size, all_distinct, view, nonfinite):
     # values from a small pool repeat, so pairs share one formatted text;
     # normal draws with spread exponents make every pair distinct
@@ -660,6 +680,11 @@ def test_from_json_text_matches_reference(n, seed, pool_size, overrides, edit, c
     assert load_outcome(StateVector.from_json_text, text) == expected
 
 
+# pieces of 7, 8, 9, 16 and 17 bytes that share their first 7 or 8 bytes but
+# not their values, so a key on fewer bytes than the whole piece merges them
+WIDTHS_7_TO_17 = ["0, 1.00", "0, 1.000", "0, 1.0001", "0, 1.00000000002", "0, 1.000000000003"]
+
+
 @pytest.mark.parametrize("text, outcome", [
     ('{"n": 1, "amps": ' + "[" * 100_000 + "]" * 100_000 + "}", "state file nests too deeply"),
     ('{"n": 1, "amps": [[' + "[" * 100_000 + "]" * 100_000 + "]]}\n",
@@ -672,9 +697,18 @@ def test_from_json_text_matches_reference(n, seed, pool_size, overrides, edit, c
     ('{"n": 3, "amps": [[%s]]}\n' % "], [".join(["1.0, 0.0"] * 7), "expected 8 amplitude pairs"),
     ('{"n": 3, "amps": [[%s]]}\n' % "], [".join(["1.0, 0.0"] * 9), "expected 8 amplitude pairs"),
     ('{"n": 3, "amps": [[%s]]}\n' % "], [".join(["1, 0", "1.0, 0.0", "0, 0", "0.0, -0.0"] * 2), 3),
+    ('{"n": 2, "amps": [[0, 1.0], [0, 1.0\0], [0, 1.0], [0, 1.0]]}\n', "Expecting ',' delimiter"),
+    ('{"n": 2, "amps": [[0, 1.0], [0,\u00a01.0], [0, 1.0], [0, 1.0]]}\n', "Expecting value"),
+    ('{"n": 4, "amps": [[%s]]}\n' % "], [".join(WIDTHS_7_TO_17 * 3 + ["0, 1.0"]), 4),
+    ('{"n": 2, "amps": [[], [1, 0], [1, 0], [1, 0]]}\n', "amplitude 0 must be a [re, im] number pair"),
+    ('{"n": 2, "amps": [["a], [b", 0], [1, 0], [1, 0], [1, 0]]}\n', "amplitude 0 must be"),
+    ('{"n": 2, "amps": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}\r\n', 2),
+    ('{"n": 2, "amps": [[ 1.0 ,  0.0 ], [0.0, 0.0], [ 1.0 ,  0.0 ], [\t0.0,0.0\n]]}\n', 2),
 ], ids=[
     "deep", "deep in pairs", "5000 digits", "truncated", "word", "overflowing norm", "one pair",
-    "7 of 8 pairs", "9 of 8 pairs", "one value in two texts",
+    "7 of 8 pairs", "9 of 8 pairs", "one value in two texts", "NUL lengthens a piece",
+    "non-ASCII space", "widths 7 to 17", "empty pair", "bracket text in a string", "crlf",
+    "spaces in pairs",
 ])
 def test_from_json_text_edge_cases_match_reference(text, outcome):
     expected = load_outcome(reference_from_json_text, text)
@@ -716,6 +750,23 @@ def test_over_cap_header_is_rejected_before_two_to_the_n(n):
         tracemalloc.stop()
     assert outcome == expected
     assert peak < 1 << 20  # 1 << 999_999_999 alone is 125 MB
+
+
+def test_a_far_wider_piece_sends_the_text_to_json():
+    # each piece takes as many 8-byte words as the widest; one piece of 20 kB
+    # among 4096 would need 82 MB of words, so the text goes whole to json
+    pieces = ["1.0, 0.0"] * 4096
+    pieces[7] = "0." + "0" * 20_000 + "1, 0"
+    text = canonical_text(12, pieces)
+    tracemalloc.start()
+    try:
+        outcome = load_outcome(StateVector.from_json_text, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == load_outcome(reference_from_json_text, text)
+    assert outcome[0] == 12
+    assert peak < 8 << 20
 
 
 BAD_PIECES = {
