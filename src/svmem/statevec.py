@@ -11,7 +11,8 @@ reads in memory) divide by the squared norm, checked in one place.
 
 Every state this package returns holds read-only amplitudes that it
 allocated itself (`StateVector._adopt`), so a readout computes the squared
-norm of such a state once and keeps it. A caller's `StateVector(n, arr)`
+norm of such a state once and keeps it; `encode` hands over its exact norm,
+so its states are never summed. A caller's `StateVector(n, arr)`
 keeps arr as given, writable if it was, and its norm is never kept.
 """
 
@@ -111,20 +112,22 @@ class StateVector:
         self.amps = amps
 
     @classmethod
-    def _adopt(cls, n: int, amps: np.ndarray) -> StateVector:
+    def _adopt(cls, n: int, amps: np.ndarray, total: float | None = None) -> StateVector:
         """Package-internal: the state over amps, 2^n complex128 values svmem just allocated.
 
         No copy and no checks: the caller has built amps in shape and run
         _check_finite wherever a value can stop being finite. amps and
         every array on its .base chain are svmem's own temporaries, and
         are frozen here, so the readouts may keep this state's squared norm.
+        A caller that knows it exactly, bit for bit as norm_squared would
+        sum it, and nonzero, passes it as total, and no readout sums it.
         """
         base = amps
         while isinstance(base, np.ndarray):
             base.setflags(write=False)
             base = base.base
         psi = cls.__new__(cls)
-        psi.n, psi.amps, psi._kept_norm = n, amps, None
+        psi.n, psi.amps, psi._kept_norm = n, amps, None if total is None else (amps, total)
         return psi
 
     def to_json_dict(self) -> dict:
@@ -143,10 +146,10 @@ class StateVector:
         """
         bits = np.ascontiguousarray(self.amps).view(np.uint64).reshape(-1, 2)
         codes, count = _dense_codes(bits[:, 0])
-        if count < codes.size:  # real parts repeat: number the pairs by both parts
+        # real parts repeat and imaginary ones differ: number the pairs by both parts
+        if count < codes.size and not np.all(bits[:, 1] == bits[0, 1]):
             im_codes, im_count = _dense_codes(bits[:, 1])
-            if im_count > 1:
-                codes, count = _dense_codes(codes * im_count + im_codes)
+            codes, count = _dense_codes(codes * im_count + im_codes)
             del im_codes
         distinct = np.empty(count, np.complex128)
         distinct[codes] = self.amps
@@ -158,7 +161,7 @@ class StateVector:
         start = text.index("[[") + 2
         listing = np.frombuffer(text.encode("ascii"), np.uint8)
         del distinct, pairs, text
-        body = _joined_pairs(_piece_words(listing, start, listing.size - 2), codes)
+        body = _joined_pairs(_piece_words(listing, start, listing.size - 2, count), codes)
         del codes
         out = np.concatenate((listing[:start], body, listing[-3:]))
         del body  # the gathered rows, freed before the one decode
@@ -177,9 +180,7 @@ class StateVector:
         """
         canonical = _canonical_amps(text)
         if canonical is not None:
-            n, amps = canonical
-            _check_finite(amps)
-            return cls._adopt(n, amps)
+            return cls._adopt(*canonical)
         try:
             data = json.loads(text)
         except RecursionError:
@@ -222,7 +223,7 @@ def _canonical_amps(text: str) -> tuple[int, np.ndarray] | None:
     itself, more are hashed, and then every piece is checked against one
     piece of its key. None also when a distinct pair fails json or the pair
     rule, so the json path raises the error with the index of the first bad
-    pair.
+    pair. A distinct pair that is not finite raises ValueError.
     """
     head = _CANONICAL_HEAD.match(text)
     if head is None or not text.endswith(_CANONICAL_TAIL) or not text.isascii():
@@ -236,7 +237,7 @@ def _canonical_amps(text: str) -> tuple[int, np.ndarray] | None:
     # text would
     if any(text.find(c, head.end(), stop) >= 0 for c in '{}"'):
         return None
-    words = _piece_words(np.frombuffer(text.encode("ascii"), np.uint8), head.end(), stop)
+    words = _piece_words(np.frombuffer(text.encode("ascii"), np.uint8), head.end(), stop, 1 << n)
     if words is None or words.shape[1] != 1 << n:
         return None
     keys = words[0] if len(words) == 1 else _hash_words(words)
@@ -254,10 +255,11 @@ def _canonical_amps(text: str) -> tuple[int, np.ndarray] | None:
         values = _pair_values(json.loads(b"[[" + _joined_pairs(chosen).tobytes() + b"]]"))
     except ValueError:
         return None
+    _check_finite(values)  # every distinct pair is some pair's value
     return n, values[codes]
 
 
-def _piece_words(buf: np.ndarray, start: int, stop: int) -> np.ndarray | None:
+def _piece_words(buf: np.ndarray, start: int, stop: int, pieces: int) -> np.ndarray | None:
     """(words, pieces) of the pieces "p0], [p1], [ ... ], [pk]" that fill buf[start:stop], else None.
 
     buf[stop - 1] is the last "]", and 8 bytes precede start. Each piece
@@ -266,8 +268,42 @@ def _piece_words(buf: np.ndarray, start: int, stop: int) -> np.ndarray | None:
     them, so equal words mean equal bytes and width. None unless every
     other "]" is followed by ", [" and no other "[" appears, so that no
     piece holds a bracket, and unless the words, as many per piece as the
-    widest needs, are no more than buf's bytes.
+    widest needs, are no more than buf's bytes. pieces, the count the
+    caller expects, lets text whose pieces all share one width be read by
+    stride; any other text is read by the positions of its brackets.
     """
+    words = _strided_words(buf, start, stop, pieces)
+    return _positioned_words(buf, start, stop) if words is None else words
+
+
+def _strided_words(buf: np.ndarray, start: int, stop: int, pieces: int) -> np.ndarray | None:
+    """_piece_words of exactly pieces pieces of one width, by strided views, else None.
+
+    The body is then a (pieces, width + 4) byte matrix. "], [" after each
+    of the first pieces - 1, with no other "]" and "[" in the body, means
+    no piece holds a bracket.
+    """
+    stride, rest = divmod(stop - start + 3, pieces)
+    if rest or stride < 4:
+        return None
+    width = stride - 4
+    body = buf[start:stop]
+    if (
+        not np.all(_at_every_byte(buf, "<u4")[start + width :: stride][: pieces - 1] == _SEPARATOR)
+        or np.count_nonzero(body == ord("]")) != pieces
+        or np.count_nonzero(body == ord("[")) != pieces - 1
+    ):
+        return None
+    words = np.empty((max(1, -(-width // 8)), pieces), "<u8")
+    windows = _at_every_byte(buf, "<u8")
+    for j, word in enumerate(words):
+        high = min(8 * j + 8, width)  # where the word's bytes end in its piece
+        np.bitwise_or(windows[start + high - 8 :: stride][:pieces], _FILL[high - 8 * j], out=word)
+    return words
+
+
+def _positioned_words(buf: np.ndarray, start: int, stop: int) -> np.ndarray | None:
+    """_piece_words of any count of pieces, found by the positions of their "]"."""
     ends = start + np.flatnonzero(buf[start:stop] == ord("]"))
     inner = ends[:-1]
     if (
@@ -388,7 +424,9 @@ def encode(
     if n < 1:
         raise ValueError("init pattern needs at least one factor")
     check_qubits(n, max_qubits)
-    return StateVector._adopt(n, _subcube(factors, np.complex128))
+    # a sum of 2^i ones, exact below 2^53: the value norm_squared would return
+    total = float(1 << factors.count(Factor.BOTH))
+    return StateVector._adopt(n, _subcube(factors, np.complex128), total)
 
 
 _AXIS_INDEX = {Factor.ZERO: 0, Factor.ONE: 1, Factor.BOTH: slice(None)}

@@ -82,10 +82,13 @@ def _table(draw, n):
     return draw(truth_tables(min_n=n, max_n=n))
 
 
+def _pattern(draw, n):
+    return draw(st.lists(st.sampled_from(list(Factor)), min_size=n, max_size=n))
+
+
 # every function that builds a fresh state, from drawn inputs on n qubits
 BUILDERS = {
-    "encode": lambda draw, n, seed: encode(
-        draw(st.lists(st.sampled_from(list(Factor)), min_size=n, max_size=n))),
+    "encode": lambda draw, n, seed: encode(_pattern(draw, n)),
     "kron": lambda draw, n, seed: kron(_random_state(seed, n - 1), _random_state(seed + 1, 1)),
     "uniform_state": lambda draw, n, seed: uniform_state(n),
     "diffusion": lambda draw, n, seed: diffusion(_random_state(seed, n)),
@@ -97,6 +100,9 @@ BUILDERS = {
     # three distinct pairs in 2^n >= 8: the canonical text is built by index
     "from_json_text canonical": lambda draw, n, seed: StateVector.from_json_text(
         _pooled_state(seed, n).to_json_text() + "\n"),
+    # at most two distinct pairs, all of one width: read by stride
+    "from_json_text encoded": lambda draw, n, seed: StateVector.from_json_text(
+        encode(_pattern(draw, n)).to_json_text() + "\n"),
     # no trailing newline: not canonical, so json parses it whole
     "from_json_text json": lambda draw, n, seed: StateVector.from_json_text(
         json.dumps(_random_state(seed, n).to_json_dict())),

@@ -325,7 +325,11 @@ def test_caller_state_keeps_its_array_as_given():
 def test_readouts_sum_a_returned_state_once(monkeypatch):
     calls = []
     monkeypatch.setattr(statevec, "norm_squared", lambda psi: calls.append(psi) or 4.0)
-    psi = encode("BB")
+    psi = encode("BB")  # carries its exact norm 2^2, so it is never summed
+    assert [ram_read(psi, k) for k in range(4)] == [(1, 0.25)] * 4
+    probabilities(psi)
+    assert calls == []
+    psi = kron(encode("B"), encode("B"))
     assert [ram_read(psi, k) for k in range(4)] == [(1, 0.25)] * 4
     probabilities(psi)
     assert len(calls) == 1
@@ -337,6 +341,16 @@ def test_readouts_sum_a_returned_state_once(monkeypatch):
     psi.amps = encode("ZB").amps  # another array, even a read-only one, is summed again
     ram_read(psi, 0)
     assert len(calls) == 4
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from(list(Factor)), min_size=1, max_size=12))
+def test_encode_carries_the_norm_a_sum_gives(pattern):
+    psi = encode(pattern)
+    summed = norm_squared(StateVector(psi.n, psi.amps.copy()))
+    kept = statevec._readout_norm_squared(psi)
+    assert np.float64(kept).tobytes() == np.float64(summed).tobytes()
+    assert type(kept) is float
 
 
 def test_kron_and_diffusion_still_check_finiteness():
@@ -704,11 +718,23 @@ WIDTHS_7_TO_17 = ["0, 1.00", "0, 1.000", "0, 1.0001", "0, 1.00000000002", "0, 1.
     ('{"n": 2, "amps": [["a], [b", 0], [1, 0], [1, 0], [1, 0]]}\n', "amplitude 0 must be"),
     ('{"n": 2, "amps": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}\r\n', 2),
     ('{"n": 2, "amps": [[ 1.0 ,  0.0 ], [0.0, 0.0], [ 1.0 ,  0.0 ], [\t0.0,0.0\n]]}\n', 2),
+    # pieces of one width are read by stride; 7 and 9 alternating divide the
+    # body into 12-byte rows too, but their separators are not where rows end
+    ('{"n": 0, "amps": [[0.7071067811865476, -0.0]]}\n', 0),
+    ('{"n": 3, "amps": [[%s]]}\n' % "], [".join(["1.0, 0.0", "0.0, 0.0"] * 4), 3),
+    ('{"n": 3, "amps": [[%s]]}\n' % "], [".join(["1.0, 0.00", "1.0, 0.01"] * 4), 3),
+    ('{"n": 3, "amps": [[%s]]}\n' % "], [".join(["0.12345678, 1.00", "0.12345678, 2.00"] * 4), 3),
+    ('{"n": 3, "amps": [[%s]]}\n' % "], [".join(["0.12345678, 1.000", "0.12345678, 2.000"] * 4),
+     3),
+    ('{"n": 2, "amps": [[%s]]}\n' % "], [".join(["0, 1.00", "0, 1.0001"] * 2), 2),
+    ('{"n": 2, "amps": [[1.0, 0.0], [1.0, 0.0], [[1.0, 0.], [1.0, 0.0]]}\n',
+     "Expecting ',' delimiter"),
 ], ids=[
     "deep", "deep in pairs", "5000 digits", "truncated", "word", "overflowing norm", "one pair",
     "7 of 8 pairs", "9 of 8 pairs", "one value in two texts", "NUL lengthens a piece",
     "non-ASCII space", "widths 7 to 17", "empty pair", "bracket text in a string", "crlf",
-    "spaces in pairs",
+    "spaces in pairs", "one wide pair", "width 8", "width 9", "width 16", "width 17",
+    "widths 7 and 9", "bracket in an equal-width piece",
 ])
 def test_from_json_text_edge_cases_match_reference(text, outcome):
     expected = load_outcome(reference_from_json_text, text)
@@ -767,6 +793,55 @@ def test_a_far_wider_piece_sends_the_text_to_json():
     assert outcome == load_outcome(reference_from_json_text, text)
     assert outcome[0] == 12
     assert peak < 8 << 20
+
+
+# piece bytes with no bracket, so that equal widths pass the stride route
+PIECE_BYTES = "0123456789.-e, N\0"
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    n=st.integers(1, 8),
+    pool=st.integers(0, 24).flatmap(
+        lambda width: st.lists(st.text(PIECE_BYTES, min_size=width, max_size=width), min_size=1,
+                               max_size=4)),
+    seed=st.integers(0, 2**32 - 1),
+    bracket=st.one_of(st.none(), st.tuples(st.integers(0, 2**16), st.sampled_from("[]"))),
+)
+def test_equal_width_pieces_give_the_words_their_positions_give(n, pool, seed, bracket):
+    pieces = [pool[k] for k in np.random.default_rng(seed).integers(len(pool), size=1 << n)]
+    width = len(pool[0])
+    if bracket is not None and width:
+        at, char = bracket
+        piece = pieces[at % len(pieces)]
+        pieces[at % len(pieces)] = piece[: at % width] + char + piece[at % width + 1 :]
+    buf = np.frombuffer(canonical_text(n, pieces).encode("ascii"), np.uint8)
+    start, stop = len('{"n": %d, "amps": [[' % n), buf.size - 3
+
+    def exact(words):
+        return None if words is None else (words.dtype.str, words.shape, words.tobytes())
+
+    expected = exact(statevec._positioned_words(buf, start, stop))
+    assert exact(statevec._piece_words(buf, start, stop, 1 << n)) == expected
+    strided = statevec._strided_words(buf, start, stop, 1 << n)
+    assert (strided is None) == (bracket is not None and width > 0)
+    if strided is not None:
+        assert exact(strided) == expected
+
+
+def test_an_encoded_file_loads_in_about_one_state():
+    # an n=20 file (12 MiB of text) read by stride: the text's bytes, one
+    # word and one code per pair, and the 16 MiB state
+    psi = encode("BOZB" + "B" * 16)
+    text = psi.to_json_text() + "\n"
+    tracemalloc.start()
+    try:
+        loaded = StateVector.from_json_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.amps.tobytes() == psi.amps.tobytes()
+    assert peak <= 1.7 * psi.amps.nbytes
 
 
 BAD_PIECES = {
