@@ -19,7 +19,7 @@ from .boolfn import parse as parse_expression
 from .errors import ResourceLimitError, SimulatorError
 from .grover import AUTO, sample_counts
 from .grover import run as grover_run
-from .memory import cam_match, capacity, ram_read, recognizes
+from .memory import cam_match, capacity_json_text, ram_read, recognizes
 from .oracle import emit_circuit
 from .statevec import StateVector, encode
 
@@ -143,8 +143,8 @@ def _with_samples(payload: dict, probability: float, args) -> dict:
     return payload
 
 
-def _cmd_capacity(args) -> dict:
-    return capacity(args.n).to_json_dict()
+def _cmd_capacity(args) -> str:
+    return capacity_json_text(args.n) + "\n"
 
 
 def _cmd_encode(args) -> str:

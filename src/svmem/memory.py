@@ -9,12 +9,15 @@ qubit; the oracle module proves the two routes agree.
 Capacity counting is exact big-integer arithmetic throughout: a word is
 storable iff its set bits form a subcube, and the per-i counts are
 C(n,i) placements of the free positions times 2^(n-i) settings of the
-fixed ones.
+fixed ones. The CLI's report text is written from the same counts as
+exact decimals (`capacity_json_text`), which print in linear time.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -67,12 +70,21 @@ class CapacityReport:
         }
 
 
-def capacity(n: int) -> CapacityReport:
-    """Count the distinct words an n-qubit register can store, term by term."""
+def _qubit_count(n: int) -> int:
+    """n as a Python int in 0..CAPACITY_CAP; numpy ints count exactly, bools do not."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise TypeError(f"qubit count must be an integer, got {type(n).__name__}")
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"qubit count must be >= 0, got {n}")
     if n > CAPACITY_CAP:
         raise ResourceLimitError(f"capacity of {n} qubits exceeds the cap of {CAPACITY_CAP}")
+    return n
+
+
+def capacity(n: int) -> CapacityReport:
+    """Count the distinct words an n-qubit register can store, term by term."""
+    n = _qubit_count(n)
     rows = []
     total = 0
     choose = 1  # C(n, 0)
@@ -82,6 +94,50 @@ def capacity(n: int) -> CapacityReport:
         total += choose * codes
         choose = choose * (n - i) // (i + 1)  # C(n, i+1), exact
     return CapacityReport(n, tuple(rows), total)
+
+
+def capacity_json_text(n: int) -> str:
+    """`json.dumps(capacity(n).to_json_dict())`, byte for byte, in linear time.
+
+    Python prints an int in time quadratic in its digits, a Decimal in
+    linear time, so the rows are counted as Decimals. Every step is exact:
+    the context raises on any rounding, and a quotient that leaves a
+    remainder raises Inexact. Each row's text is built as it is reached and
+    the rows are joined once, so the peak is about two texts.
+    """
+    n = _qubit_count(n)
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    exact.traps[decimal.Inexact] = exact.traps[decimal.Rounded] = True
+
+    def quotient(x: decimal.Decimal, d: int) -> decimal.Decimal:
+        # divmod, not divide: an exact divide at MAX_PREC first fails at
+        # full precision and then retries, which costs about twice as much
+        q, r = exact.divmod(x, d)
+        if r:
+            raise decimal.Inexact(f"a capacity term does not divide by {d}")
+        return q
+
+    codes = product = exact.power(2, n)
+    choose = decimal.Decimal(1)
+    lower = []  # texts of C(n, i) for 2i < n, popped as C(n, n-i)
+    parts = [f'{{"n": {n}, "rows": [']
+    for i in range(n + 1):
+        if 2 * i <= n:
+            choose_text = str(choose)
+            if 2 * i < n:
+                lower.append(choose_text)
+            choose = quotient(exact.multiply(choose, n - i), i + 1)
+        else:
+            choose_text = lower.pop()
+        parts.append(
+            f'{", " if i else ""}{{"i": {i}, "choose": {choose_text}, '
+            f'"codes": {codes!s}, "product": {product!s}}}'
+        )
+        if i < n:
+            codes = quotient(codes, 2)
+            product = quotient(exact.multiply(product, n - i), 2 * (i + 1))
+    parts.append(f'], "total": "{3**n}"}}')
+    return "".join(parts)
 
 
 def enumerate_patterns(n: int) -> Iterator[tuple[Factor, ...]]:

@@ -31,6 +31,19 @@ def test_capacity_three(run_cli):
     assert data["rows"][1] == {"i": 1, "choose": 3, "codes": 4, "product": 12}
 
 
+def test_capacity_three_golden(run_cli, tmp_path):
+    want = (
+        '{"n": 3, "rows": [{"i": 0, "choose": 1, "codes": 8, "product": 8}, '
+        '{"i": 1, "choose": 3, "codes": 4, "product": 12}, '
+        '{"i": 2, "choose": 3, "codes": 2, "product": 6}, '
+        '{"i": 3, "choose": 1, "codes": 1, "product": 1}], "total": "27"}\n'
+    )
+    assert run_cli(["capacity", "3"]) == (0, want, "")
+    path = tmp_path / "capacity.json"
+    assert run_cli(["capacity", "3", "--out", str(path)]) == (0, "", "")
+    assert path.read_bytes() == want.encode()
+
+
 def test_capacity_zero(run_cli):
     assert _json(run_cli(["capacity", "0"])[1])["total"] == "1"
 

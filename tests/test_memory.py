@@ -1,11 +1,13 @@
 """Capacity combinatorics and the RAM/CAM views of stored words."""
 
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svmem import memory
@@ -16,6 +18,7 @@ from svmem.memory import (
     CapacityRow,
     cam_match,
     capacity,
+    capacity_json_text,
     enumerate_patterns,
     pattern_for,
     ram_read,
@@ -100,6 +103,62 @@ def test_capacity_json_total_is_decimal_string():
     data = capacity(40).to_json_dict()
     assert data["total"] == str(3**40)
     assert data["rows"][0] == {"i": 0, "choose": 1, "codes": 1 << 40, "product": 1 << 40}
+
+
+@pytest.mark.parametrize("count", [capacity, capacity_json_text])
+def test_capacity_takes_numpy_ints_exactly(count):
+    # counted in int64, 3^70 wraps to -7017427999944344819
+    assert count(np.int64(70)) == count(70)
+    assert capacity(np.int64(70)).total == 3**70
+
+
+@pytest.mark.parametrize("count", [capacity, capacity_json_text])
+@pytest.mark.parametrize("n, kind", [(True, "bool"), (2.0, "float"), ("3", "str")])
+def test_capacity_rejects_non_integer_counts(count, n, kind):
+    with pytest.raises(TypeError, match=f"^qubit count must be an integer, got {kind}$"):
+        count(n)
+
+
+@pytest.mark.parametrize("count", [capacity, capacity_json_text])
+def test_capacity_routes_share_their_limits(count):
+    with pytest.raises(ValueError, match="^qubit count must be >= 0, got -1$"):
+        count(-1)
+    with pytest.raises(ResourceLimitError, match=f"exceeds the cap of {CAPACITY_CAP}$"):
+        count(CAPACITY_CAP + 1)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 1500))
+@example(0)
+@example(1)
+@example(2)
+@example(3)
+@example(1201)
+def test_capacity_json_text_is_the_json_report(n):
+    assert capacity_json_text(n) == json.dumps(capacity(n).to_json_dict())
+
+
+def test_capacity_json_text_at_the_cap_in_about_two_texts():
+    # json.dumps of the int report takes seconds here, so the rows are
+    # pinned by their count and ends, and the total by 3^n itself
+    n = CAPACITY_CAP
+    tracemalloc.start()
+    try:
+        text = capacity_json_text(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    power = str(2**n)
+    assert text.startswith(
+        f'{{"n": {n}, "rows": [{{"i": 0, "choose": 1, "codes": {power}, "product": {power}}}, '
+    )
+    assert text.endswith(
+        f'{{"i": {n}, "choose": 1, "codes": 1, "product": 1}}], "total": "{3**n}"}}'
+    )
+    assert text.count('{"i": ') == n + 1
+    # 2.01x here; the json route peaks at 2.49x, and keeping every row's
+    # Decimals until the join at 2.42x
+    assert peak <= 2.2 * len(text)
 
 
 # --- enumerate_patterns -----------------------------------------------------------
