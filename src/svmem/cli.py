@@ -21,7 +21,7 @@ from .grover import AUTO, sample_counts
 from .grover import run as grover_run
 from .memory import cam_match, capacity_json_text, ram_read, recognizes
 from .oracle import emit_circuit
-from .statevec import StateVector, encode
+from .statevec import DEFAULT_SUPPORT_EPS, StateVector, encode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tolerance = argparse.ArgumentParser(add_help=False)
     tolerance.add_argument(
-        "--tolerance", type=float, default=1e-9, metavar="EPS",
+        "--tolerance", type=float, default=DEFAULT_SUPPORT_EPS, metavar="EPS",
         help="amplitude magnitude below which a bit reads 0 (default 1e-9)",
     )
 

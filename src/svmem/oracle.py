@@ -16,7 +16,7 @@ import numpy as np
 
 from .boolfn import BoolFn
 from .errors import ResourceLimitError, ShapeError
-from .statevec import Factor, StateVector, _subcube
+from .statevec import DEFAULT_QUBIT_CAP, Factor, StateVector, _subcube
 
 
 def apply_marking(f: BoolFn, psi: StateVector) -> StateVector:
@@ -38,8 +38,8 @@ def apply_phase(f: BoolFn, psi: StateVector) -> StateVector:
     return StateVector._adopt(psi.n, psi.amps * signs)
 
 
-# Longest netlist text emit_circuit builds: the 256 MiB of the amplitude cap.
-MAX_NETLIST_BYTES = 256 << 20
+# Longest netlist text emit_circuit builds: the complex128 bytes at the qubit cap.
+MAX_NETLIST_BYTES = 16 << DEFAULT_QUBIT_CAP
 # emit_circuit lists the minterms of at most 2^16 table entries at a time
 _EMIT_CHUNK_QUBITS = 16
 _SIGNS = np.frombuffer(b"-+", np.uint8)  # a control's polarity byte, by qubit value

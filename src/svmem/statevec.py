@@ -141,8 +141,8 @@ class StateVector:
 
         Pairs are numbered by the bits of their two parts, so -0.0 stays
         apart from 0.0. One json.dumps writes the distinct pairs, NaN and
-        Infinity as json writes them, and the text is gathered from the
-        bytes of that listing by number: no Python object per amplitude.
+        Infinity as json writes them, and the text is gathered from a table
+        of their texts by number: no Python object per amplitude.
         """
         bits = np.ascontiguousarray(self.amps).view(np.uint64).reshape(-1, 2)
         codes, count = _dense_codes(bits[:, 0])
@@ -155,15 +155,19 @@ class StateVector:
         distinct[codes] = self.amps
         pairs = distinct.view(np.float64).reshape(-1, 2).tolist()
         # the listing is the text of the distinct pairs alone: the same head,
-        # the pairs in code order, the same tail; at most 50 bytes a pair, so
-        # _piece_words accepts it
+        # the pairs in code order, the same tail
         text = json.dumps({"n": self.n, "amps": pairs})
         start = text.index("[[") + 2
-        listing = np.frombuffer(text.encode("ascii"), np.uint8)
+        # one row per distinct pair text, NUL-padded; JSON holds no NUL, so
+        # the padding is the fill that _joined_pairs drops
+        table = np.array(text[start:-3].split("], ["), dtype="S").view(np.uint8).reshape(count, -1)
+        table[table == 0] = _FILL_BYTE
+        head = np.frombuffer(text[:start].encode("ascii"), np.uint8)
+        tail = np.frombuffer(text[-3:].encode("ascii"), np.uint8)
         del distinct, pairs, text
-        body = _joined_pairs(_piece_words(listing, start, listing.size - 2, count), codes)
-        del codes
-        out = np.concatenate((listing[:start], body, listing[-3:]))
+        body = _joined_pairs(table, codes)
+        del table, codes
+        out = np.concatenate((head, body, tail))
         del body  # the gathered rows, freed before the one decode
         return str(memoryview(out), "ascii")
 
@@ -171,8 +175,9 @@ class StateVector:
     def from_json_text(cls, text: str) -> StateVector:
         """from_json_dict(json.loads(text)), building a canonical file from its distinct pairs.
 
-        Text in the shape to_json_text writes (plus a newline), ASCII, with
-        at most half its pairs distinct, is read on its bytes: each distinct
+        Text in the shape to_json_text writes (with or without one final
+        newline), ASCII, with its pair texts all of one width and at most
+        half of them distinct, is read on its bytes: each distinct
         pair is parsed once, and the amplitudes are gathered from them by
         index. Any other text, and canonical text whose distinct pairs fail
         the pair rule, goes to json.loads and from_json_dict whole. Text
@@ -203,13 +208,13 @@ class StateVector:
         return cls._adopt(n, amps)
 
 
-# the text to_json_text writes, plus the newline the CLI appends
+# the text to_json_text writes, with or without the newline the CLI appends
 _CANONICAL_HEAD = re.compile(r'\{"n": (0|[1-9][0-9]{0,8}), "amps": \[\[')
-_CANONICAL_TAIL = "]]}\n"
+_CANONICAL_TAIL = "]]}"
 _SEPARATOR = int.from_bytes(b"], [", "little")
 # _FILL[k]: 0xFF in the low 8 - k bytes of a little-endian word; or-ed onto
-# the 8 bytes that end a piece's k bytes, it keeps them and marks the rest
-# with a byte that ASCII never holds, so a word also says how many it keeps
+# the 8 bytes that end a piece's k bytes, it keeps them and masks the bytes
+# before them with a byte that ASCII never holds, which _joined_pairs drops
 _FILL = np.array([(1 << 8 * (8 - k)) - 1 for k in range(9)], dtype="<u8")
 _FILL_BYTE = 0xFF
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # odd, so the hash is one-to-one in each word
@@ -221,38 +226,38 @@ def _canonical_amps(text: str) -> tuple[int, np.ndarray] | None:
     Works on the text's bytes. Each pair's piece (its text between the
     brackets) is keyed by its bytes in 8-byte words: one word is the key
     itself, more are hashed, and then every piece is checked against one
-    piece of its key. None also when a distinct pair fails json or the pair
-    rule, so the json path raises the error with the index of the first bad
-    pair. A distinct pair that is not finite raises ValueError.
+    piece of its key. None also when the pieces differ in width, and when
+    a distinct pair fails json or the pair rule, so the json path raises
+    the error with the index of the first bad pair. A distinct pair that
+    is not finite raises ValueError.
     """
     head = _CANONICAL_HEAD.match(text)
-    if head is None or not text.endswith(_CANONICAL_TAIL) or not text.isascii():
+    end = len(text) - text.endswith("\n")
+    if head is None or not text.endswith(_CANONICAL_TAIL, 0, end) or not text.isascii():
         return None
     n = int(head.group(1))
     if n > DEFAULT_QUBIT_CAP:  # before 1 << n; the json path reports it
         return None
-    stop = len(text) - len(_CANONICAL_TAIL) + 1  # just past the tail's first "]"
+    stop = end - len(_CANONICAL_TAIL) + 1  # just past the tail's first "]"
     # with no bracket, brace or quote in a piece, each piece is one list of
     # scalars wherever it stands, so parsing it alone gives what the whole
     # text would
     if any(text.find(c, head.end(), stop) >= 0 for c in '{}"'):
         return None
     words = _piece_words(np.frombuffer(text.encode("ascii"), np.uint8), head.end(), stop, 1 << n)
-    if words is None or words.shape[1] != 1 << n:
+    if words is None:
         return None
-    keys = words[0] if len(words) == 1 else _hash_words(words)
-    distinct = _sorted_distinct(keys)
-    if 2 * distinct.size > keys.size:
+    codes, count = _dense_codes(words[0] if len(words) == 1 else _hash_words(words))
+    if 2 * count > codes.size:
         return None
-    codes = np.searchsorted(distinct, keys)
-    chosen = np.empty((len(words), distinct.size), words.dtype)
-    del keys, distinct
+    chosen = np.empty((len(words), count), words.dtype)
     chosen[:, codes] = words  # one piece per code: any of them, as all are equal
     if len(words) > 1 and not np.array_equal(np.take(chosen, codes, axis=1), words):
         return None  # two pieces share a hash
     del words
+    pieces = np.ascontiguousarray(chosen.T).view(np.uint8)  # one row per distinct piece
     try:
-        values = _pair_values(json.loads(b"[[" + _joined_pairs(chosen).tobytes() + b"]]"))
+        values = _pair_values(json.loads(b"[[" + _joined_pairs(pieces).tobytes() + b"]]"))
     except ValueError:
         return None
     _check_finite(values)  # every distinct pair is some pair's value
@@ -260,28 +265,16 @@ def _canonical_amps(text: str) -> tuple[int, np.ndarray] | None:
 
 
 def _piece_words(buf: np.ndarray, start: int, stop: int, pieces: int) -> np.ndarray | None:
-    """(words, pieces) of the pieces "p0], [p1], [ ... ], [pk]" that fill buf[start:stop], else None.
+    """(words, pieces) of the pieces "p0], [p1], [ ... ], [pk]" in buf[start:stop], else None.
 
-    buf[stop - 1] is the last "]", and 8 bytes precede start. Each piece
-    becomes its bytes in little-endian uint64 words, 0xFF-filled: word j
-    holds bytes 8j..8j+7 as the high bytes of the 8 that end at the last of
-    them, so equal words mean equal bytes and width. None unless every
-    other "]" is followed by ", [" and no other "[" appears, so that no
-    piece holds a bracket, and unless the words, as many per piece as the
-    widest needs, are no more than buf's bytes. pieces, the count the
-    caller expects, lets text whose pieces all share one width be read by
-    stride; any other text is read by the positions of its brackets.
-    """
-    words = _strided_words(buf, start, stop, pieces)
-    return _positioned_words(buf, start, stop) if words is None else words
-
-
-def _strided_words(buf: np.ndarray, start: int, stop: int, pieces: int) -> np.ndarray | None:
-    """_piece_words of exactly pieces pieces of one width, by strided views, else None.
-
-    The body is then a (pieces, width + 4) byte matrix. "], [" after each
-    of the first pieces - 1, with no other "]" and "[" in the body, means
-    no piece holds a bracket.
+    buf[stop - 1] is the last "]", and 8 bytes precede start. The pieces,
+    as many as the caller expects, must all share one width: the body is
+    then a (pieces, width + 4) byte matrix, read by strided views. Each
+    piece becomes its bytes in little-endian uint64 words, 0xFF-filled:
+    word j holds bytes 8j..8j+7 as the high bytes of the 8 that end at the
+    last of them, so equal words mean equal bytes. None unless "], ["
+    follows each of the first pieces - 1 pieces and no other "]" or "["
+    is in the body, so that no piece holds a bracket.
     """
     stride, rest = divmod(stop - start + 3, pieces)
     if rest or stride < 4:
@@ -289,47 +282,17 @@ def _strided_words(buf: np.ndarray, start: int, stop: int, pieces: int) -> np.nd
     width = stride - 4
     body = buf[start:stop]
     if (
-        not np.all(_at_every_byte(buf, "<u4")[start + width :: stride][: pieces - 1] == _SEPARATOR)
+        not np.all(np.ndarray((pieces - 1,), "<u4", buf, start + width, (stride,)) == _SEPARATOR)
         or np.count_nonzero(body == ord("]")) != pieces
         or np.count_nonzero(body == ord("[")) != pieces - 1
     ):
         return None
     words = np.empty((max(1, -(-width // 8)), pieces), "<u8")
-    windows = _at_every_byte(buf, "<u8")
     for j, word in enumerate(words):
         high = min(8 * j + 8, width)  # where the word's bytes end in its piece
-        np.bitwise_or(windows[start + high - 8 :: stride][:pieces], _FILL[high - 8 * j], out=word)
+        window = np.ndarray((pieces,), "<u8", buf, start + high - 8, (stride,))
+        np.bitwise_or(window, _FILL[high - 8 * j], out=word)
     return words
-
-
-def _positioned_words(buf: np.ndarray, start: int, stop: int) -> np.ndarray | None:
-    """_piece_words of any count of pieces, found by the positions of their "]"."""
-    ends = start + np.flatnonzero(buf[start:stop] == ord("]"))
-    inner = ends[:-1]
-    if (
-        np.count_nonzero(buf[start:stop] == ord("[")) != inner.size
-        or not np.all(_at_every_byte(buf, "<u4")[inner] == _SEPARATOR)
-    ):
-        return None
-    low = np.concatenate(([start], inner + 4))
-    count = max(1, -(-int((ends - low).max()) // 8))  # words per piece
-    if count * ends.size > buf.size:  # a few pieces far wider than the rest
-        return None
-    words = np.empty((count, ends.size), "<u8")
-    windows = _at_every_byte(buf, "<u8")
-    high = np.empty_like(low)
-    for word in words:  # low is where the word's bytes start; high, where they end
-        np.minimum(np.add(low, 8, out=high), ends, out=high)
-        np.take(_FILL, np.subtract(high, low, out=low), out=word)
-        word |= windows[np.subtract(high, 8, out=low)]
-        low, high = high, low
-    return words
-
-
-def _at_every_byte(buf: np.ndarray, dtype: str) -> np.ndarray:
-    """A view of the uint8 buf whose item i is the word of the given dtype that starts at byte i."""
-    size = np.dtype(dtype).itemsize
-    return np.ndarray((buf.size - size + 1,), dtype, buf, strides=(1,))
 
 
 def _hash_words(words: np.ndarray) -> np.ndarray:
@@ -341,29 +304,25 @@ def _hash_words(words: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct keys in ascending order."""
-    ordered = np.sort(keys)
-    first = np.empty(ordered.size, bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first]
-
-
 def _dense_codes(keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Each key's index among the distinct keys in ascending order, and their count."""
-    distinct = _sorted_distinct(keys)
+    distinct = np.sort(keys)
+    first = np.empty(distinct.size, bool)
+    first[:1] = True
+    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+    distinct = distinct[first]  # frees the sorted keys before the search
     return np.searchsorted(distinct, keys), distinct.size
 
 
-def _joined_pairs(words: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
-    """The uint8 text "p], [q], [ ... ], [z" of the pieces in words, in the order of codes.
+def _joined_pairs(pieces: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+    """The uint8 text "p], [q], [ ... ], [z" of the rows of pieces, in the order of codes.
 
-    Each piece becomes a row of its words' bytes and "], [", and the rows
-    are gathered by code; the fill bytes are then dropped, if any row has them.
+    pieces is a (count, width) uint8 table, one piece per row, filled out
+    with 0xFF. Each row takes "], [", the rows are gathered by code, and
+    the fill bytes are then dropped, if any row has them.
     """
-    table = np.empty((words.shape[1], 8 * len(words) + 4), np.uint8)
-    table[:, :-4] = np.ascontiguousarray(words.T).view(np.uint8)
+    table = np.empty((len(pieces), pieces.shape[1] + 4), np.uint8)
+    table[:, :-4] = pieces
     table[:, -4:] = np.frombuffer(b"], [", np.uint8)
     rows = table if codes is None else np.take(table, codes, axis=0)
     body = rows[rows != _FILL_BYTE] if np.any(table == _FILL_BYTE) else rows.reshape(-1)

@@ -779,8 +779,8 @@ def test_over_cap_header_is_rejected_before_two_to_the_n(n):
 
 
 def test_a_far_wider_piece_sends_the_text_to_json():
-    # each piece takes as many 8-byte words as the widest; one piece of 20 kB
-    # among 4096 would need 82 MB of words, so the text goes whole to json
+    # one piece of 20 kB among 4096 of 8 bytes fails the one-width stride
+    # check, so the text goes whole to json before any word is built
     pieces = ["1.0, 0.0"] * 4096
     pieces[7] = "0." + "0" * 20_000 + "1, 0"
     text = canonical_text(12, pieces)
@@ -808,7 +808,7 @@ PIECE_BYTES = "0123456789.-e, N\0"
     seed=st.integers(0, 2**32 - 1),
     bracket=st.one_of(st.none(), st.tuples(st.integers(0, 2**16), st.sampled_from("[]"))),
 )
-def test_equal_width_pieces_give_the_words_their_positions_give(n, pool, seed, bracket):
+def test_equal_width_pieces_give_their_bytes_as_filled_words(n, pool, seed, bracket):
     pieces = [pool[k] for k in np.random.default_rng(seed).integers(len(pool), size=1 << n)]
     width = len(pool[0])
     if bracket is not None and width:
@@ -817,16 +817,19 @@ def test_equal_width_pieces_give_the_words_their_positions_give(n, pool, seed, b
         pieces[at % len(pieces)] = piece[: at % width] + char + piece[at % width + 1 :]
     buf = np.frombuffer(canonical_text(n, pieces).encode("ascii"), np.uint8)
     start, stop = len('{"n": %d, "amps": [[' % n), buf.size - 3
-
-    def exact(words):
-        return None if words is None else (words.dtype.str, words.shape, words.tobytes())
-
-    expected = exact(statevec._positioned_words(buf, start, stop))
-    assert exact(statevec._piece_words(buf, start, stop, 1 << n)) == expected
-    strided = statevec._strided_words(buf, start, stop, 1 << n)
-    assert (strided is None) == (bracket is not None and width > 0)
-    if strided is not None:
-        assert exact(strided) == expected
+    words = statevec._piece_words(buf, start, stop, 1 << n)
+    if bracket is not None and width:
+        assert words is None
+        return
+    # per piece: each 8 bytes, or the fewer that end it, after 0xFF fill bytes,
+    # as one little-endian word
+    expected = [
+        [int.from_bytes(b"\xff" * (8 - len(chunk)) + chunk, "little") for chunk in (
+            piece.encode("ascii")[low : low + 8] for low in range(0, max(width, 1), 8))]
+        for piece in pieces
+    ]
+    assert words.dtype == np.dtype("<u8")
+    assert words.T.tolist() == expected
 
 
 def test_an_encoded_file_loads_in_about_one_state():
@@ -844,6 +847,34 @@ def test_an_encoded_file_loads_in_about_one_state():
     assert peak <= 1.7 * psi.amps.nbytes
 
 
+def test_an_encoded_state_saves_in_about_one_state():
+    # an n=20 state (16 MiB) written as 12 MiB of text: a code per pair,
+    # the gathered rows, the output bytes and the text
+    psi = encode("BOZB" + "B" * 16)
+    tracemalloc.start()
+    try:
+        text = psi.to_json_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("[0.0, 0.0]]}")
+    assert peak <= 1.6 * psi.amps.nbytes
+
+
+def test_a_grover_state_saves_in_a_few_texts():
+    # the n=18 final state has two distinct pair texts, of 23 and 28 bytes;
+    # each pair's gathered row is 32 bytes, not four whole 8-byte words + 4
+    psi = run(needle(12345, 18)).final_state
+    tracemalloc.start()
+    try:
+        text = psi.to_json_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("]]}")
+    assert peak <= 3.35 * len(text)
+
+
 BAD_PIECES = {
     "true": "true, 0.0", "null": "0.0, null", "one number": "1", "three numbers": "1, 2, 3",
     "empty": "", "401 digits": "1" * 401 + ", 0", "NaN": "NaN, 0.0", "1e999": "0.0, 1e999",
@@ -853,10 +884,12 @@ BAD_PIECES = {
 @pytest.mark.parametrize("first_bad", [0, 5])
 @pytest.mark.parametrize("bad", list(BAD_PIECES))
 def test_repeated_bad_piece_fails_as_json_would(bad, first_bad, monkeypatch):
-    # two distinct pieces in eight, so the canonical path parses them, finds
-    # the bad one and hands the text to json whole
-    pieces = ["0.0, 0.0"] * 8
-    pieces[first_bad::3] = [BAD_PIECES[bad]] * len(pieces[first_bad::3])
+    # two distinct pieces in eight, space-padded to one width, so the
+    # canonical path parses them, finds the bad one and hands the text to
+    # json whole
+    width = max(len(BAD_PIECES[bad]), len("0.0, 0.0"))
+    pieces = ["0.0, 0.0".ljust(width)] * 8
+    pieces[first_bad::3] = [BAD_PIECES[bad].ljust(width)] * len(pieces[first_bad::3])
     text = canonical_text(3, pieces)
     seen, pair_values = [], statevec._pair_values
     monkeypatch.setattr(
@@ -871,14 +904,16 @@ def test_repeated_bad_piece_fails_as_json_would(bad, first_bad, monkeypatch):
 
 
 def test_canonical_file_skips_from_json_dict(monkeypatch):
-    # an encoded n=16 file is built from its distinct pairs; a file with a
-    # compact header is not canonical and goes through from_json_dict
+    # an encoded n=16 file, with the CLI's final newline or as to_json_text
+    # returns it, is built from its distinct pairs; a file with a compact
+    # header is not canonical and goes through from_json_dict
     calls, from_json_dict = [], StateVector.from_json_dict
     spy = staticmethod(lambda data: calls.append(data["n"]) or from_json_dict(data))
     monkeypatch.setattr(StateVector, "from_json_dict", spy)
     psi = encode("BOZB" + "B" * 12)
     text = psi.to_json_text() + "\n"
-    assert StateVector.from_json_text(text).amps.tobytes() == psi.amps.tobytes()
+    for loaded in (text, text[:-1]):
+        assert StateVector.from_json_text(loaded).amps.tobytes() == psi.amps.tobytes()
     assert calls == []
     compact = text.replace('{"n": 16, "amps"', '{"n":16,"amps"')
     assert StateVector.from_json_text(compact).amps.tobytes() == psi.amps.tobytes()
