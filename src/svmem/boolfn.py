@@ -22,14 +22,15 @@ from .statevec import Factor, _subcube, check_index, check_qubits
 
 def default_var_names(n: int) -> tuple[str, ...]:
     """a, b, c, ...: one letter per input."""
-    _check_arity(n)
+    n = _check_arity(n)
     return tuple(string.ascii_lowercase[:n])
 
 
-def _check_arity(n: int) -> None:
+def _check_arity(n: int) -> int:
+    n = check_qubits(n)
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
-    check_qubits(n)
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +41,7 @@ class BoolFn:
     table: np.ndarray
 
     def __post_init__(self):
-        _check_arity(self.n)
+        object.__setattr__(self, "n", _check_arity(self.n))
         table = _bool_entries(self.table)
         if table.shape != (1 << self.n,):
             raise ValueError(
@@ -75,8 +76,8 @@ def _bool_entries(entries) -> np.ndarray:
 
 def needle(k0: int, n: int) -> BoolFn:
     """Decoder line: true at k0 and nowhere else."""
-    _check_arity(n)
-    check_index(k0, n, "k0")
+    n = _check_arity(n)
+    k0 = check_index(k0, n, "k0")
     table = np.zeros(1 << n, dtype=bool)
     table[k0] = True
     return BoolFn(n, table)
@@ -84,19 +85,16 @@ def needle(k0: int, n: int) -> BoolFn:
 
 def from_minterms(indices: Iterable[int], n: int) -> BoolFn:
     """Function that is true exactly on the given input indices."""
-    _check_arity(n)
+    n = _check_arity(n)
     table = np.zeros(1 << n, dtype=bool)
     for k in indices:
-        k = int(k)
-        check_index(k, n, "minterm")
-        table[k] = True
+        table[check_index(k, n, "minterm")] = True
     return BoolFn(n, table)
 
 
 def evaluate(f: BoolFn, k: int) -> int:
     """f(k) as 0 or 1."""
-    check_index(k, f.n, "input")
-    return int(f.table[k])
+    return int(f.table[check_index(k, f.n, "input")])
 
 
 def truth_set(f: BoolFn) -> set[int]:
@@ -106,9 +104,9 @@ def truth_set(f: BoolFn) -> set[int]:
 
 def count_functions(n: int) -> int:
     """Number of Boolean functions on n inputs: 2^(2^n), exact."""
+    n = check_qubits(n)
     if n < 0:
         raise ValueError(f"arity must be >= 0, got {n}")
-    check_qubits(n)
     return 1 << (1 << n)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -17,15 +18,19 @@ import numpy as np
 from .boolfn import BoolFn, default_var_names, from_minterms, needle
 from .boolfn import parse as parse_expression
 from .errors import ResourceLimitError, SimulatorError
-from .grover import AUTO, sample_counts
+from .grover import AUTO, check_iterations, sample_counts
 from .grover import run as grover_run
 from .memory import cam_match, capacity_json_text, ram_read, recognizes
 from .oracle import emit_circuit
-from .statevec import DEFAULT_SUPPORT_EPS, StateVector, encode
+from .statevec import DEFAULT_QUBIT_CAP, DEFAULT_SUPPORT_EPS, StateVector, encode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RESOURCE = 2
+
+# Longest state file read: the canonical text at the qubit cap, 2^24 pairs
+# of at most 54 bytes, is about 864 MiB.
+MAX_STATE_FILE_BYTES = 64 << DEFAULT_QUBIT_CAP
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -132,6 +137,10 @@ def _parse_function_spec(spec: str, n: int) -> BoolFn:
 
 def _load_state(path: str) -> StateVector:
     with open(path) as fh:
+        if os.fstat(fh.fileno()).st_size > MAX_STATE_FILE_BYTES:  # refused unread
+            raise ResourceLimitError(
+                f"state file {path} exceeds the cap of {MAX_STATE_FILE_BYTES} bytes"
+            )
         return StateVector.from_json_text(fh.read())
 
 
@@ -166,8 +175,10 @@ def _cmd_cam(args) -> dict:
 
 
 def _cmd_grover(args) -> dict:
-    f = _parse_function_spec(args.function, args.n)
     iters: int | str = AUTO if args.iters.lower() == AUTO else int(args.iters)
+    if iters != AUTO:
+        check_iterations(iters, args.n)  # before the function's 2^n table is built
+    f = _parse_function_spec(args.function, args.n)
     report = grover_run(f, iterations=iters, seed=args.seed, shots=args.shots)
     return report.to_json_dict()
 
@@ -180,6 +191,9 @@ def _cmd_oracle_emit(args) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("read", "cam") and args.seed is not None and args.shots <= 0:
+        # grover reports its seed; read and cam use it only to sample
+        parser.error(f"argument --seed: {args.command} uses it only with a positive --shots")
     try:
         payload = args.handler(args)
         text = payload if isinstance(payload, str) else json.dumps(payload) + "\n"

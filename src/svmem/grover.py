@@ -18,7 +18,14 @@ import numpy as np
 from .boolfn import BoolFn
 from .errors import NoSolutionError, ResourceLimitError
 from .oracle import apply_phase
-from .statevec import StateVector, _check_finite, check_qubits, probabilities
+from .statevec import (
+    DEFAULT_QUBIT_CAP,
+    StateVector,
+    _check_finite,
+    check_integer,
+    check_qubits,
+    probabilities,
+)
 
 AUTO = "auto"
 
@@ -36,12 +43,18 @@ MAX_SHOTS = 1 << 30
 # Most iterations one run may take: about ten sin^2 periods at the 24-qubit cap.
 MAX_ITERATIONS = 1 << 16
 
+# Most amplitude updates, iterations times 2^n, one run may make: 2^36 keeps
+# every AUTO run (at most 3216 * 2^24) and every count up to MAX_ITERATIONS
+# at n <= 20; 2^16 iterations at the 24-qubit cap would take about 10 hours
+# on a 2-core host.
+MAX_AMPLITUDE_UPDATES = 1 << (DEFAULT_QUBIT_CAP + 12)
+
 
 def uniform_state(n: int) -> StateVector:
     """Equal superposition with amplitudes 1/sqrt(2^n)."""
+    n = check_qubits(n)
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n}")
-    check_qubits(n)
     amp = 1.0 / math.sqrt(1 << n)
     return StateVector._adopt(n, np.full(1 << n, amp, dtype=np.complex128))
 
@@ -78,11 +91,29 @@ def optimal_iterations(N: int, M: int) -> int:
 def predicted_success(N: int, M: int, k: int) -> float:
     """Closed-form success probability sin^2((2k+1)·θ) after k iterations."""
     theta = _validate_space(N, M)
+    k = check_integer(k, "iteration count")
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
     if 2 * k + 1 > 2**53:  # the angle's factor would no longer be an exact double
         raise ValueError(f"iteration count {k} is too large for the closed form (max {2**52 - 1})")
     return math.sin((2 * k + 1) * theta) ** 2
+
+
+def check_iterations(k: int, n: int) -> int:
+    """k as a Python int, or ResourceLimitError past MAX_ITERATIONS or past MAX_AMPLITUDE_UPDATES.
+
+    Needs no table, so a caller can check a count before building the
+    function. A negative n is left to the arity check, which refuses it.
+    """
+    k = check_integer(k, "iteration count")
+    if k > MAX_ITERATIONS:  # before the closed form, which overflows for huge k
+        raise ResourceLimitError(f"{k} iterations exceeds the cap of {MAX_ITERATIONS}")
+    if n >= 0 and k << check_qubits(n) > MAX_AMPLITUDE_UPDATES:
+        raise ResourceLimitError(
+            f"{k << n} amplitude updates ({k} iterations on {n} qubits) "
+            f"exceeds the cap of {MAX_AMPLITUDE_UPDATES}"
+        )
+    return k
 
 
 def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> dict[int, int]:
@@ -147,11 +178,8 @@ def run(
     if isinstance(iterations, str):
         if iterations.lower() != AUTO:
             raise ValueError(f"iterations must be an integer or {AUTO!r}, got {iterations!r}")
-        k = optimal_iterations(size, marked)
-    else:
-        k = int(iterations)
-    if k > MAX_ITERATIONS:  # before the closed form, which overflows for huge k
-        raise ResourceLimitError(f"{k} iterations exceeds the cap of {MAX_ITERATIONS}")
+        iterations = optimal_iterations(size, marked)
+    k = check_iterations(iterations, f.n)
     predicted = predicted_success(size, marked, k)  # checks M and k before allocating
 
     psi = uniform_state(f.n)

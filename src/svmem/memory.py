@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import decimal
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -32,10 +31,10 @@ from .statevec import (
     _readout_norm_squared,
     _subcube,
     check_index,
+    check_integer,
+    check_qubits,
     check_tolerance,
 )
-
-ENUMERATION_CAP = 12  # 3^12 ≈ 531k patterns keeps exhaustive streams desk-sized
 
 # Largest n whose 3^n, the biggest count in the report, has at most 4300
 # decimal digits: CPython's default limit for int-to-str conversion.
@@ -71,10 +70,8 @@ class CapacityReport:
 
 
 def _qubit_count(n: int) -> int:
-    """n as a Python int in 0..CAPACITY_CAP; numpy ints count exactly, bools do not."""
-    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
-        raise TypeError(f"qubit count must be an integer, got {type(n).__name__}")
-    n = operator.index(n)
+    """n as a Python int in 0..CAPACITY_CAP, by the one integer rule."""
+    n = check_integer(n, "qubit count")
     if n < 0:
         raise ValueError(f"qubit count must be >= 0, got {n}")
     if n > CAPACITY_CAP:
@@ -141,13 +138,10 @@ def capacity_json_text(n: int) -> str:
 
 
 def enumerate_patterns(n: int) -> Iterator[tuple[Factor, ...]]:
-    """All 3^n init patterns, lexicographic with ZERO < ONE < BOTH."""
+    """All 3^n init patterns, lexicographic with ZERO < ONE < BOTH, for n up to the qubit cap."""
+    n = check_qubits(n)
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n}")
-    if n > ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"3^{n} patterns exceeds the enumeration cap of 3^{ENUMERATION_CAP}"
-        )
     return itertools.product((Factor.ZERO, Factor.ONE, Factor.BOTH), repeat=n)
 
 
@@ -189,7 +183,7 @@ def ram_read(
     The probability |amps[k]|^2 / norm^2 is exactly the chance that the
     auxiliary qubit reads 1 after the marking oracle of needle(k, n).
     """
-    check_index(k, psi.n, "address")
+    k = check_index(k, psi.n, "address")
     check_tolerance(eps)
     total = _readout_norm_squared(psi)
     magnitude = abs(psi.amps[k])

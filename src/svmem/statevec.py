@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -31,8 +32,7 @@ import numpy as np
 from .errors import DegenerateStateError, ResourceLimitError
 
 # The one size cap for registers, function arity and state files: 2^24
-# amplitudes = 256 MiB of complex128. Only encode takes a higher cap, e.g.
-# to build the 25-qubit marking register of a 24-input function.
+# amplitudes = 256 MiB of complex128.
 DEFAULT_QUBIT_CAP = 24
 
 DEFAULT_SUPPORT_EPS = 1e-9
@@ -46,16 +46,27 @@ class Factor(Enum):
     BOTH = "B"  # (1 1)
 
 
-def check_qubits(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
-    """Raise ResourceLimitError if n qubits exceed the cap; call before allocating 2^n."""
-    if n > max_qubits:
-        raise ResourceLimitError(f"{n} qubits exceeds the cap of {max_qubits}")
+def check_integer(value: int, what: str) -> int:
+    """value as a Python int: numpy ints count exactly; a bool, float or str raises TypeError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
+    return operator.index(value)
 
 
-def check_index(k: int, n: int, what: str) -> None:
-    """Raise ValueError unless k indexes the 2^n basis; what names k in the message."""
+def check_qubits(n: int) -> int:
+    """n as a Python int, or ResourceLimitError over the cap; call before allocating 2^n."""
+    n = check_integer(n, "qubit count")
+    if n > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(f"{n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}")
+    return n
+
+
+def check_index(k: int, n: int, what: str) -> int:
+    """k as a Python int, or ValueError unless it indexes the 2^n basis; what names k."""
+    k = check_integer(k, what)
     if not 0 <= k < (1 << n):
         raise ValueError(f"{what} {k} out of range for {n} qubits (valid: 0..{(1 << n) - 1})")
+    return k
 
 
 # 2^14284 is the largest power of two that Python prints in its default 4300 digits
@@ -239,11 +250,6 @@ def _canonical_amps(text: str) -> tuple[int, np.ndarray] | None:
     if n > DEFAULT_QUBIT_CAP:  # before 1 << n; the json path reports it
         return None
     stop = end - len(_CANONICAL_TAIL) + 1  # just past the tail's first "]"
-    # with no bracket, brace or quote in a piece, each piece is one list of
-    # scalars wherever it stands, so parsing it alone gives what the whole
-    # text would
-    if any(text.find(c, head.end(), stop) >= 0 for c in '{}"'):
-        return None
     words = _piece_words(np.frombuffer(text.encode("ascii"), np.uint8), head.end(), stop, 1 << n)
     if words is None:
         return None
@@ -256,6 +262,9 @@ def _canonical_amps(text: str) -> tuple[int, np.ndarray] | None:
         return None  # two pieces share a hash
     del words
     pieces = np.ascontiguousarray(chosen.T).view(np.uint8)  # one row per distinct piece
+    # no piece holds a bracket, and pieces that pass the pair rule hold no
+    # quote or brace, which would give a string or an object; so each piece
+    # parses alone as it stands in the whole text
     try:
         values = _pair_values(json.loads(b"[[" + _joined_pairs(pieces).tobytes() + b"]]"))
     except ValueError:
@@ -369,20 +378,18 @@ def _first_bad_pair(raw: list) -> ValueError:
     raise AssertionError("a whole-list check failed, but every pair is good")
 
 
-def encode(
-    pattern: str | Iterable[Factor], *, max_qubits: int = DEFAULT_QUBIT_CAP
-) -> StateVector:
+def encode(pattern: str | Iterable[Factor]) -> StateVector:
     """Kronecker product of the per-qubit factor vectors, left to right.
 
     Accepts a Factor sequence or a letter string ("ZZB"). The result has
     amplitudes that are exactly 0.0 or 1.0, with support of size 2^i
-    where i counts the BOTH factors. max_qubits raises the size cap.
+    where i counts the BOTH factors.
     """
     factors = parse_pattern(pattern) if isinstance(pattern, str) else tuple(pattern)
     n = len(factors)
     if n < 1:
         raise ValueError("init pattern needs at least one factor")
-    check_qubits(n, max_qubits)
+    check_qubits(n)
     # a sum of 2^i ones, exact below 2^53: the value norm_squared would return
     total = float(1 << factors.count(Factor.BOTH))
     return StateVector._adopt(n, _subcube(factors, np.complex128), total)

@@ -1,12 +1,16 @@
 """Subcommand behavior: JSON payloads, exit codes, and golden stability."""
 
 import json
+import os
+import tracemalloc
 
 import pytest
 
-from svmem.cli import build_parser
-from svmem.grover import MAX_ITERATIONS, MAX_SHOTS
+from svmem.cli import MAX_STATE_FILE_BYTES, build_parser
+from svmem.grover import MAX_AMPLITUDE_UPDATES, MAX_ITERATIONS, MAX_SHOTS
 from svmem.memory import CAPACITY_CAP
+from svmem.oracle import MAX_NETLIST_BYTES
+from svmem.statevec import DEFAULT_QUBIT_CAP
 
 
 def _json(stdout):
@@ -352,6 +356,22 @@ def test_unread_flag_is_a_usage_error(run_cli, argv):
     assert "unrecognized arguments: " + argv[-2] in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["read", "{state}", "0", "--seed", "3"],
+    ["read", "{state}", "0", "--shots", "0", "--seed", "3"],
+    ["cam", "{state}", "needle:0", "--seed", "3"],
+], ids=["read", "read zero shots", "cam"])
+def test_seed_without_shots_is_a_usage_error(run_cli, state_file, argv):
+    # read and cam use the seed only to sample; grover reports it
+    code, out, err = run_cli([state_file if a == "{state}" else a for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage:")
+    assert "argument --seed: " + argv[0] + " uses it only with a positive --shots" in err
+    code, out, _ = run_cli(["grover", "needle:0", "-n", "2", "--seed", "3"])
+    assert code == 0 and _json(out)["seed"] == 3
+
+
 def test_one_parser_per_process_leaks_nothing_between_calls(run_cli, state_file):
     # a usage error, then calls whose flags differ, on the one cached parser;
     # each output equals that of the same call on a freshly built parser
@@ -425,3 +445,69 @@ def test_deeply_nested_state_file_is_a_json_error(run_cli, tmp_path, argv):
     assert code == 1
     assert _json(out) == {"status": "error", "error_message": "state file nests too deeply"}
     assert err.startswith("svmem: error:")
+
+
+# --- every limit refuses its over-cap request before allocating for it ------------
+
+# one request per limit: (argv, error message, bytes the request must build first)
+OVER_CAP_REQUESTS = {
+    "qubits": (
+        ["encode", "B" * (DEFAULT_QUBIT_CAP + 1)],
+        f"{DEFAULT_QUBIT_CAP + 1} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}",
+        0,
+    ),
+    "capacity": (
+        ["capacity", str(CAPACITY_CAP + 1)],
+        f"capacity of {CAPACITY_CAP + 1} qubits exceeds the cap of {CAPACITY_CAP}",
+        0,
+    ),
+    "shots": (
+        ["grover", "needle:0", "-n", "3", "--shots", str(MAX_SHOTS + 1)],
+        f"{MAX_SHOTS + 1} shots exceeds the cap of {MAX_SHOTS}",
+        0,
+    ),
+    "iterations": (
+        ["grover", "needle:0", "-n", "3", "--iters", str(MAX_ITERATIONS + 1)],
+        f"{MAX_ITERATIONS + 1} iterations exceeds the cap of {MAX_ITERATIONS}",
+        0,
+    ),
+    "grover work": (
+        ["grover", "needle:0", "-n", "24", "--iters", str(MAX_ITERATIONS)],
+        f"{MAX_ITERATIONS << 24} amplitude updates ({MAX_ITERATIONS} iterations on 24 qubits) "
+        f"exceeds the cap of {MAX_AMPLITUDE_UPDATES}",
+        0,
+    ),
+    # the netlist's size counts the minterms, so the all-true function's
+    # 2^21-entry table is built twice (parsed, then copied into BoolFn)
+    "netlist bytes": (
+        ["oracle-emit", "expr:1", "-n", "21"],
+        f"a netlist of 337641482 bytes exceeds the cap of {MAX_NETLIST_BYTES}",
+        2 << 21,
+    ),
+    "state-file bytes": (
+        ["read", "{big}", "0"],
+        f"state file {{big}} exceeds the cap of {MAX_STATE_FILE_BYTES} bytes",
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("limit", list(OVER_CAP_REQUESTS))
+def test_over_cap_request_exits_2_unallocated(run_cli, tmp_path, limit):
+    argv, message, built = OVER_CAP_REQUESTS[limit]
+    big = str(tmp_path / "big.json")
+    with open(big, "w"):
+        pass
+    os.truncate(big, MAX_STATE_FILE_BYTES + 1)  # sparse: no block is written
+    argv = [a.replace("{big}", big) for a in argv]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert _json(out) == {"status": "error", "error_message": message.replace("{big}", big)}
+    assert err.startswith("svmem: error:")
+    assert peak < (1 << 20) + built
+

@@ -25,7 +25,15 @@ from svmem.memory import (
     recognizes,
 )
 from svmem.oracle import apply_marking
-from svmem.statevec import Factor, StateVector, encode, kron, norm_squared, support
+from svmem.statevec import (
+    DEFAULT_QUBIT_CAP,
+    Factor,
+    StateVector,
+    encode,
+    kron,
+    norm_squared,
+    support,
+)
 
 Z, O, B = Factor.ZERO, Factor.ONE, Factor.BOTH
 
@@ -176,7 +184,7 @@ def test_enumerate_order_and_count():
 
 def test_enumerate_guard():
     with pytest.raises(ResourceLimitError):
-        enumerate_patterns(13)
+        enumerate_patterns(DEFAULT_QUBIT_CAP + 1)
     with pytest.raises(ValueError):
         enumerate_patterns(0)
 

@@ -12,10 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svmem import statevec
-from svmem.boolfn import count_functions, evaluate, from_minterms, needle, parse
+from svmem.boolfn import (
+    count_functions,
+    default_var_names,
+    evaluate,
+    from_minterms,
+    needle,
+    parse,
+)
 from svmem.errors import DegenerateStateError, ResourceLimitError
-from svmem.grover import diffusion, run, uniform_state
-from svmem.memory import ram_read
+from svmem.grover import diffusion, predicted_success, run, uniform_state
+from svmem.memory import capacity, enumerate_patterns, ram_read
 from svmem.oracle import apply_marking, apply_phase, emit_circuit, replay_circuit
 from svmem.statevec import (
     DEFAULT_QUBIT_CAP,
@@ -112,8 +119,7 @@ def test_encode_matches_kron_fold_property(letters):
 
 def test_encode_qubit_cap():
     with pytest.raises(ResourceLimitError):
-        encode("ZZZZZ", max_qubits=4)
-    assert encode("Z" * 25, max_qubits=25).n == 25  # cap is configurable
+        encode("Z" * (DEFAULT_QUBIT_CAP + 1))
 
 
 # --- kron -------------------------------------------------------------------
@@ -376,6 +382,8 @@ OVER_CAP_ENTRY_POINTS = {
     "from_minterms": lambda n: from_minterms([0], n),
     "parse": lambda n: parse("1", [f"x{j}" for j in range(n)]),
     "from_json_dict": lambda n: StateVector.from_json_dict({"n": n, "amps": []}),
+    "enumerate_patterns": enumerate_patterns,
+    "default_var_names": default_var_names,
 }
 
 
@@ -428,6 +436,46 @@ def test_out_of_range_index_rejected_alike(entry, k, run_cli, tmp_path):
         with pytest.raises(ValueError) as excinfo:
             call(k, state)
         assert str(excinfo.value) == message
+
+
+# --- one integer rule for every count and index ------------------------------------
+
+# each entry point, with the count or index under test as v (2 where valid)
+INTEGER_ENTRY_POINTS = {
+    "needle k0": ("k0", lambda v: needle(v, 3)),
+    "needle n": ("qubit count", lambda v: needle(0, v)),
+    "from_minterms": ("minterm", lambda v: from_minterms([0, v], 3)),
+    "evaluate": ("input", lambda v: evaluate(needle(2, 3), v)),
+    "ram_read": ("address", lambda v: ram_read(encode("ZOB"), v)),
+    "uniform_state": ("qubit count", uniform_state),
+    "count_functions": ("qubit count", count_functions),
+    "enumerate_patterns": ("qubit count", lambda v: list(enumerate_patterns(v))),
+    "default_var_names": ("qubit count", default_var_names),
+    "capacity": ("qubit count", capacity),
+    "run": ("iteration count", lambda v: run(needle(5, 3), iterations=v).to_json_dict()),
+    "predicted_success": ("iteration count", lambda v: predicted_success(8, 1, v)),
+}
+
+
+@pytest.mark.parametrize("v, kind", [(2.0, "float"), (2.7, "float"), (True, "bool"), ("1", "str")])
+@pytest.mark.parametrize("entry", list(INTEGER_ENTRY_POINTS))
+def test_non_integer_counts_rejected_alike(entry, v, kind):
+    what, call = INTEGER_ENTRY_POINTS[entry]
+    if entry == "run" and kind == "str":
+        # run reads a string as AUTO or refuses it by its own rule
+        with pytest.raises(ValueError, match="^iterations must be an integer or 'auto', got '1'$"):
+            call(v)
+        return
+    with pytest.raises(TypeError) as excinfo:
+        call(v)
+    assert str(excinfo.value) == f"{what} must be an integer, got {kind}"
+
+
+@pytest.mark.parametrize("entry", list(INTEGER_ENTRY_POINTS))
+def test_numpy_integer_counts_count_exactly(entry):
+    # repr shows a numpy int that leaks into the result, as in BoolFn.n
+    call = INTEGER_ENTRY_POINTS[entry][1]
+    assert repr(call(np.int64(2))) == repr(call(2))
 
 
 # --- state files: whole-array load and save against per-pair references -----------
@@ -729,12 +777,23 @@ WIDTHS_7_TO_17 = ["0, 1.00", "0, 1.000", "0, 1.0001", "0, 1.00000000002", "0, 1.
     ('{"n": 2, "amps": [[%s]]}\n' % "], [".join(["0, 1.00", "0, 1.0001"] * 2), 2),
     ('{"n": 2, "amps": [[1.0, 0.0], [1.0, 0.0], [[1.0, 0.], [1.0, 0.0]]}\n',
      "Expecting ',' delimiter"),
+    # pieces of one width with quotes and braces: json reads none of them
+    # as a number pair, so the text goes to json whole
+    ('{"n": 2, "amps": [[%s]]}\n' % "], [".join(['"a", 0', "1.0, 0"] * 2),
+     "amplitude 0 must be a [re, im] number pair"),
+    ('{"n": 2, "amps": [[%s]]}\n' % "], [".join(['1, "ab', 'cd", 0'] * 2),
+     "expected 4 amplitude pairs"),
+    ('{"n": 2, "amps": [[%s]]}\n' % "], [".join(["{}, 0", "0, {}"] * 2),
+     "amplitude 0 must be a [re, im] number pair"),
+    ('{"n": 2, "amps": [[%s]]}\n' % "], [".join(['0, {"x', '": 1 }'] * 2),
+     "expected 4 amplitude pairs"),
 ], ids=[
     "deep", "deep in pairs", "5000 digits", "truncated", "word", "overflowing norm", "one pair",
     "7 of 8 pairs", "9 of 8 pairs", "one value in two texts", "NUL lengthens a piece",
     "non-ASCII space", "widths 7 to 17", "empty pair", "bracket text in a string", "crlf",
     "spaces in pairs", "one wide pair", "width 8", "width 9", "width 16", "width 17",
-    "widths 7 and 9", "bracket in an equal-width piece",
+    "widths 7 and 9", "bracket in an equal-width piece", "quotes in pieces",
+    "a string across pieces", "braces in pieces", "an object across pieces",
 ])
 def test_from_json_text_edge_cases_match_reference(text, outcome):
     expected = load_outcome(reference_from_json_text, text)
