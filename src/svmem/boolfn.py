@@ -191,25 +191,45 @@ class _Parser:
         return value
 
     def _and_term(self) -> np.ndarray:
-        value = self._not_factor()
-        while self._peek_kind() in ("VAR", "CONST", "LPAREN"):
-            value = value & self._not_factor()
+        # the literals fold into one subcube, built once; constants and
+        # groups are ANDed in as columns
+        pinned: dict[int, Factor] | None = {}  # None once x and x' both appear
+        value = None
+        while True:
+            kind, text, _ = self.tokens[self.pos]
+            if kind == "VAR":
+                self.pos += 1
+                j = self.names.index(text)
+                factor = Factor.ZERO if self._primes() % 2 else Factor.ONE
+                if pinned is not None and pinned.setdefault(j, factor) != factor:
+                    pinned = None
+            else:
+                column = self._not_factor()
+                value = column if value is None else value & column
+            if self._peek_kind() not in ("VAR", "CONST", "LPAREN"):
+                break
+        if pinned is None:
+            return np.zeros(self.size, dtype=bool)
+        if pinned:
+            cube = _subcube([pinned.get(j, Factor.BOTH) for j in range(len(self.names))], bool)
+            value = cube if value is None else value & cube
         return value
 
     def _not_factor(self) -> np.ndarray:
         value = self._atom()
+        return ~value if self._primes() % 2 else value
+
+    def _primes(self) -> int:
+        count = 0
         while self._peek_kind() == "PRIME":
             self.pos += 1
-            value = ~value
-        return value
+            count += 1
+        return count
 
     def _atom(self) -> np.ndarray:
         kind, text, at = self.tokens[self.pos]
         if kind == "END":
             raise ParseError("unexpected end of expression", at)
-        if kind == "VAR":
-            self.pos += 1
-            return self._column(text)
         if kind == "CONST":
             self.pos += 1
             return np.full(self.size, text == "1")
@@ -221,9 +241,3 @@ class _Parser:
             self.pos += 1
             return value
         raise ParseError(f"unexpected {text!r}", at)
-
-    def _column(self, name: str) -> np.ndarray:
-        # variable j is true on the subcube that pins qubit j to 1
-        j = self.names.index(name)
-        free = (Factor.BOTH,) * len(self.names)
-        return _subcube(free[:j] + (Factor.ONE,) + free[j + 1:], bool)

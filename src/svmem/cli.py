@@ -32,6 +32,9 @@ EXIT_RESOURCE = 2
 # of at most 54 bytes, is about 864 MiB.
 MAX_STATE_FILE_BYTES = 64 << DEFAULT_QUBIT_CAP
 
+# Bytes read per call from a state file that reports no size (a pipe or a device)
+_READ_CHUNK = 1 << 20
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; this tool reserves 2 for
@@ -136,12 +139,26 @@ def _parse_function_spec(spec: str, n: int) -> BoolFn:
 
 
 def _load_state(path: str) -> StateVector:
-    with open(path) as fh:
-        if os.fstat(fh.fileno()).st_size > MAX_STATE_FILE_BYTES:  # refused unread
-            raise ResourceLimitError(
-                f"state file {path} exceeds the cap of {MAX_STATE_FILE_BYTES} bytes"
-            )
-        return StateVector.from_json_text(fh.read())
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > MAX_STATE_FILE_BYTES:  # refused unread
+            raise _over_cap(path)
+        data = fh.read() if size else _read_chunks(fh, path)
+    return StateVector._from_file_bytes(data)
+
+
+def _read_chunks(fh, path: str) -> bytearray:
+    """All of a file that reports no size, read in chunks until it passes the cap."""
+    data = bytearray()
+    while chunk := fh.read(_READ_CHUNK):
+        data += chunk
+        if len(data) > MAX_STATE_FILE_BYTES:
+            raise _over_cap(path)
+    return data
+
+
+def _over_cap(path: str) -> ResourceLimitError:
+    return ResourceLimitError(f"state file {path} exceeds the cap of {MAX_STATE_FILE_BYTES} bytes")
 
 
 def _with_samples(payload: dict, probability: float, args) -> dict:
@@ -156,8 +173,8 @@ def _cmd_capacity(args) -> str:
     return capacity_json_text(args.n) + "\n"
 
 
-def _cmd_encode(args) -> str:
-    return encode(args.pattern).to_json_text() + "\n"
+def _cmd_encode(args) -> np.ndarray:
+    return encode(args.pattern)._json_bytes(b"\n")  # the state file's bytes
 
 
 def _cmd_read(args) -> dict:
@@ -196,12 +213,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --seed: {args.command} uses it only with a positive --shots")
     try:
         payload = args.handler(args)
-        text = payload if isinstance(payload, str) else json.dumps(payload) + "\n"
+        if isinstance(payload, dict):
+            payload = json.dumps(payload) + "\n"
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            with open(args.out, "w" if isinstance(payload, str) else "wb") as fh:
+                fh.write(payload)
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(payload if isinstance(payload, str) else str(payload, "ascii"))
     except ResourceLimitError as exc:
         return _fail(str(exc), EXIT_RESOURCE)
     except (SimulatorError, ValueError, OSError) as exc:

@@ -116,12 +116,19 @@ def check_iterations(k: int, n: int) -> int:
     return k
 
 
-def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> dict[int, int]:
-    """Inverse-CDF draws from an exact distribution; returns index -> count."""
+def _check_shots(shots: int) -> int:
+    """shots as a Python int, or ValueError below 0, or ResourceLimitError past MAX_SHOTS."""
+    shots = check_integer(shots, "shot count")
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
     if shots > MAX_SHOTS:
         raise ResourceLimitError(f"{shots} shots exceeds the cap of {MAX_SHOTS}")
+    return shots
+
+
+def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> dict[int, int]:
+    """Inverse-CDF draws from an exact distribution; returns index -> count."""
+    shots = _check_shots(shots)
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(probs)
     counts: Counter[int] = Counter()
@@ -181,6 +188,7 @@ def run(
         iterations = optimal_iterations(size, marked)
     k = check_iterations(iterations, f.n)
     predicted = predicted_success(size, marked, k)  # checks M and k before allocating
+    shots = _check_shots(shots)  # before the search, which sampling follows
 
     psi = uniform_state(f.n)
     for _ in range(k):

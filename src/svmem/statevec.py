@@ -18,6 +18,7 @@ keeps arr as given, writable if it was, and its norm is never kept.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -111,6 +112,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
+        self.n = check_integer(self.n, "qubit count")
         if self.n < 0:
             raise ValueError(f"qubit count must be >= 0, got {self.n}")
         amps = np.asarray(self.amps, dtype=np.complex128)
@@ -155,14 +157,18 @@ class StateVector:
         Infinity as json writes them, and the text is gathered from a table
         of their texts by number: no Python object per amplitude.
         """
+        return str(memoryview(self._json_bytes()), "ascii")
+
+    def _json_bytes(self, end: bytes = b"") -> np.ndarray:
+        """Package-internal: to_json_text's text and then end, as the bytes of one uint8 array."""
         bits = np.ascontiguousarray(self.amps).view(np.uint64).reshape(-1, 2)
-        codes, count = _dense_codes(bits[:, 0])
+        codes, keys = _dense_codes(bits[:, 0])
         # real parts repeat and imaginary ones differ: number the pairs by both parts
-        if count < codes.size and not np.all(bits[:, 1] == bits[0, 1]):
-            im_codes, im_count = _dense_codes(bits[:, 1])
-            codes, count = _dense_codes(codes * im_count + im_codes)
+        if keys.size < codes.size and not np.all(bits[:, 1] == bits[0, 1]):
+            im_codes, im_keys = _dense_codes(bits[:, 1])
+            codes, keys = _dense_codes(codes * im_keys.size + im_codes)
             del im_codes
-        distinct = np.empty(count, np.complex128)
+        distinct = np.empty(keys.size, np.complex128)
         distinct[codes] = self.amps
         pairs = distinct.view(np.float64).reshape(-1, 2).tolist()
         # the listing is the text of the distinct pairs alone: the same head,
@@ -171,16 +177,12 @@ class StateVector:
         start = text.index("[[") + 2
         # one row per distinct pair text, NUL-padded; JSON holds no NUL, so
         # the padding is the fill that _joined_pairs drops
-        table = np.array(text[start:-3].split("], ["), dtype="S").view(np.uint8).reshape(count, -1)
+        table = np.array(text[start:-3].split("], ["), dtype="S").view(np.uint8)
+        table = table.reshape(keys.size, -1)
         table[table == 0] = _FILL_BYTE
-        head = np.frombuffer(text[:start].encode("ascii"), np.uint8)
-        tail = np.frombuffer(text[-3:].encode("ascii"), np.uint8)
+        head, tail = text[:start].encode("ascii"), text[-3:].encode("ascii") + end
         del distinct, pairs, text
-        body = _joined_pairs(table, codes)
-        del table, codes
-        out = np.concatenate((head, body, tail))
-        del body  # the gathered rows, freed before the one decode
-        return str(memoryview(out), "ascii")
+        return _joined_pairs(table, codes, head, tail)
 
     @classmethod
     def from_json_text(cls, text: str) -> StateVector:
@@ -204,6 +206,20 @@ class StateVector:
         return cls.from_json_dict(data)
 
     @classmethod
+    def _from_file_bytes(cls, data: bytes) -> StateVector:
+        """Package-internal: from_json_text(open(path).read()) for a file of these bytes.
+
+        A canonical file is read on its bytes and never decoded; any other
+        is decoded as open(path).read() decodes it, in the locale's encoding
+        with universal newlines.
+        """
+        canonical = _canonical_amps(data)
+        if canonical is not None:
+            return cls._adopt(*canonical)
+        with io.TextIOWrapper(io.BytesIO(data)) as fh:
+            return cls.from_json_text(fh.read())
+
+    @classmethod
     def from_json_dict(cls, data) -> StateVector:
         if not isinstance(data, dict) or "n" not in data or "amps" not in data:
             raise ValueError('state JSON must look like {"n": <int>, "amps": [[re, im], ...]}')
@@ -220,8 +236,8 @@ class StateVector:
 
 
 # the text to_json_text writes, with or without the newline the CLI appends
-_CANONICAL_HEAD = re.compile(r'\{"n": (0|[1-9][0-9]{0,8}), "amps": \[\[')
-_CANONICAL_TAIL = "]]}"
+_CANONICAL_HEAD = re.compile(rb'\{"n": (0|[1-9][0-9]{0,8}), "amps": \[\[')
+_CANONICAL_TAIL = b"]]}"
 _SEPARATOR = int.from_bytes(b"], [", "little")
 # _FILL[k]: 0xFF in the low 8 - k bytes of a little-endian word; or-ed onto
 # the 8 bytes that end a piece's k bytes, it keeps them and masks the bytes
@@ -231,42 +247,53 @@ _FILL_BYTE = 0xFF
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # odd, so the hash is one-to-one in each word
 
 
-def _canonical_amps(text: str) -> tuple[int, np.ndarray] | None:
+def _canonical_amps(data: str | bytes) -> tuple[int, np.ndarray] | None:
     """(n, amplitudes) of canonical text with at most half its pairs distinct, else None.
 
-    Works on the text's bytes. Each pair's piece (its text between the
-    brackets) is keyed by its bytes in 8-byte words: one word is the key
-    itself, more are hashed, and then every piece is checked against one
-    piece of its key. None also when the pieces differ in width, and when
-    a distinct pair fails json or the pair rule, so the json path raises
-    the error with the index of the first bad pair. A distinct pair that
-    is not finite raises ValueError.
+    data is the text or its bytes; a text is encoded here, so that its
+    bytes are freed once its pieces are read. Each pair's piece (its text
+    between the brackets) is keyed by its bytes in 8-byte words: one word
+    is the key itself, more are hashed, and then every piece is checked
+    against one piece of its key. None also when the pieces differ in
+    width, when a distinct piece holds a bracket, and when a distinct pair
+    fails json or the pair rule, so the json path raises the error with the
+    index of the first bad pair. A distinct pair that is not finite raises
+    ValueError.
     """
-    head = _CANONICAL_HEAD.match(text)
-    end = len(text) - text.endswith("\n")
-    if head is None or not text.endswith(_CANONICAL_TAIL, 0, end) or not text.isascii():
+    if isinstance(data, str):
+        data = data.encode("ascii") if data.isascii() else b""
+    head = _CANONICAL_HEAD.match(data)
+    end = len(data) - data.endswith(b"\n")
+    if head is None or not data.endswith(_CANONICAL_TAIL, 0, end) or not data.isascii():
         return None
     n = int(head.group(1))
     if n > DEFAULT_QUBIT_CAP:  # before 1 << n; the json path reports it
         return None
     stop = end - len(_CANONICAL_TAIL) + 1  # just past the tail's first "]"
-    words = _piece_words(np.frombuffer(text.encode("ascii"), np.uint8), head.end(), stop, 1 << n)
+    words = _piece_words(np.frombuffer(data, np.uint8), head.end(), stop, 1 << n)
+    del data, head  # the match holds the bytes too
     if words is None:
         return None
-    codes, count = _dense_codes(words[0] if len(words) == 1 else _hash_words(words))
-    if 2 * count > codes.size:
+    codes, keys = _dense_codes(words[0] if len(words) == 1 else _hash_words(words))
+    if 2 * keys.size > codes.size:
         return None
-    chosen = np.empty((len(words), count), words.dtype)
-    chosen[:, codes] = words  # one piece per code: any of them, as all are equal
-    if len(words) > 1 and not np.array_equal(np.take(chosen, codes, axis=1), words):
-        return None  # two pieces share a hash
+    if len(words) == 1:
+        pieces = keys.reshape(-1, 1)  # a one-word piece is its own key
+    else:
+        pieces = np.empty((keys.size, len(words)), words.dtype)
+        pieces[codes] = words.T  # one piece per code: any of them, as all are equal
+        if not np.array_equal(pieces[codes], words.T):
+            return None  # two pieces share a hash
     del words
-    pieces = np.ascontiguousarray(chosen.T).view(np.uint8)  # one row per distinct piece
-    # no piece holds a bracket, and pieces that pass the pair rule hold no
-    # quote or brace, which would give a string or an object; so each piece
-    # parses alone as it stands in the whole text
+    pieces = pieces.view(np.uint8)  # one row per distinct piece
+    # every piece equals a distinct one, so a bracket-free distinct piece
+    # clears them all; pieces that pass the pair rule hold no quote or
+    # brace, which would give a string or an object; so each piece parses
+    # alone as it stands in the whole text
+    if np.any((pieces == ord("[")) | (pieces == ord("]"))):
+        return None
     try:
-        values = _pair_values(json.loads(b"[[" + _joined_pairs(pieces).tobytes() + b"]]"))
+        values = _pair_values(json.loads(_joined_pairs(pieces, None, b"[[", b"]]").tobytes()))
     except ValueError:
         return None
     _check_finite(values)  # every distinct pair is some pair's value
@@ -282,19 +309,14 @@ def _piece_words(buf: np.ndarray, start: int, stop: int, pieces: int) -> np.ndar
     piece becomes its bytes in little-endian uint64 words, 0xFF-filled:
     word j holds bytes 8j..8j+7 as the high bytes of the 8 that end at the
     last of them, so equal words mean equal bytes. None unless "], ["
-    follows each of the first pieces - 1 pieces and no other "]" or "["
-    is in the body, so that no piece holds a bracket.
+    follows each of the first pieces - 1 pieces. A piece may still hold a
+    bracket; the caller checks the distinct pieces.
     """
     stride, rest = divmod(stop - start + 3, pieces)
     if rest or stride < 4:
         return None
     width = stride - 4
-    body = buf[start:stop]
-    if (
-        not np.all(np.ndarray((pieces - 1,), "<u4", buf, start + width, (stride,)) == _SEPARATOR)
-        or np.count_nonzero(body == ord("]")) != pieces
-        or np.count_nonzero(body == ord("[")) != pieces - 1
-    ):
+    if not np.all(np.ndarray((pieces - 1,), "<u4", buf, start + width, (stride,)) == _SEPARATOR):
         return None
     words = np.empty((max(1, -(-width // 8)), pieces), "<u8")
     for j, word in enumerate(words):
@@ -313,29 +335,42 @@ def _hash_words(words: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _dense_codes(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each key's index among the distinct keys in ascending order, and their count."""
+def _dense_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's index among the distinct keys, and the distinct keys in ascending order."""
     distinct = np.sort(keys)
     first = np.empty(distinct.size, bool)
     first[:1] = True
     np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
     distinct = distinct[first]  # frees the sorted keys before the search
-    return np.searchsorted(distinct, keys), distinct.size
+    return np.searchsorted(distinct, keys), distinct
 
 
-def _joined_pairs(pieces: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
-    """The uint8 text "p], [q], [ ... ], [z" of the rows of pieces, in the order of codes.
+def _joined_pairs(
+    pieces: np.ndarray, codes: np.ndarray | None, head: bytes, tail: bytes
+) -> np.ndarray:
+    """head, the rows of pieces in the order of codes joined by "], [", then tail, in uint8.
 
     pieces is a (count, width) uint8 table, one piece per row, filled out
-    with 0xFF. Each row takes "], [", the rows are gathered by code, and
-    the fill bytes are then dropped, if any row has them.
+    with 0xFF. Each row takes "], [", the rows are gathered by code straight
+    into the output, the tail is written over the last "], [", and the
+    fill bytes are then dropped, if any row has them.
     """
     table = np.empty((len(pieces), pieces.shape[1] + 4), np.uint8)
     table[:, :-4] = pieces
     table[:, -4:] = np.frombuffer(b"], [", np.uint8)
-    rows = table if codes is None else np.take(table, codes, axis=0)
-    body = rows[rows != _FILL_BYTE] if np.any(table == _FILL_BYTE) else rows.reshape(-1)
-    return body[:-4]
+    rows = len(table) if codes is None else len(codes)
+    end = len(head) + rows * table.shape[1] - 4
+    # room for the rows and for a tail longer than the "], [" it replaces
+    out = np.empty(end + max(len(tail), 4), np.uint8)
+    out[: len(head)] = np.frombuffer(head, np.uint8)
+    body = out[len(head) : end + 4].reshape(rows, -1)
+    if codes is None:
+        body[:] = table
+    else:  # mode "clip" writes straight into body; every code is in range
+        np.take(table, codes, axis=0, out=body, mode="clip")
+    out = out[: end + len(tail)]
+    out[end:] = np.frombuffer(tail, np.uint8)
+    return out[out != _FILL_BYTE] if np.any(pieces == _FILL_BYTE) else out
 
 
 def _pair_values(raw: list) -> np.ndarray:

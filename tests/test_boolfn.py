@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svmem.boolfn import (
@@ -220,6 +220,62 @@ def test_parse_matches_recursive_evaluation():
         for k in range(16):
             assignment = {name: (k >> (3 - j)) & 1 for j, name in enumerate(names)}
             assert evaluate(f, k) == _eval_tree(tree, assignment)
+
+
+# sums of products whose factors are runs of literals (repeats, x and x',
+# '' and more primes), constants and parenthesized groups, juxtaposed with
+# no parentheses between them: (kind, what, primes) per factor
+_NAMES = ("a", "b", "c", "d")
+_LITERALS = st.tuples(st.just("var"), st.sampled_from(_NAMES), st.integers(0, 3))
+_CONSTANTS = st.tuples(st.just("const"), st.sampled_from("01"), st.integers(0, 2))
+
+
+def _sums(factors):
+    return st.lists(st.lists(factors, min_size=1, max_size=8), min_size=1, max_size=3)
+
+
+# groups nest one deep: their own factors are literals and constants
+_SUMS = _sums(st.one_of(
+    _LITERALS, _LITERALS, _CONSTANTS,
+    st.tuples(st.just("group"), _sums(st.one_of(_LITERALS, _CONSTANTS)), st.integers(0, 2)),
+))
+
+
+def _render_sum(terms, spaced):
+    return " + ".join((" " if spaced else "").join(map(_render_factor, term)) for term in terms)
+
+
+def _render_factor(factor):
+    kind, what, primes = factor
+    atom = f"({_render_sum(what, False)})" if kind == "group" else what
+    return atom + "'" * primes
+
+
+def _eval_sum(terms, assignment):
+    return int(any(all(_eval_factor(f, assignment) for f in term) for term in terms))
+
+
+def _eval_factor(factor, assignment):
+    kind, what, primes = factor
+    if kind == "var":
+        value = assignment[what]
+    elif kind == "const":
+        value = int(what)
+    else:
+        value = _eval_sum(what, assignment)
+    return value ^ (primes % 2)
+
+
+@settings(deadline=None, max_examples=150)
+@given(terms=_SUMS, spaced=st.booleans())
+@example(terms=[[("var", "a", 0), ("var", "a", 1)]], spaced=False)  # aa': all false
+@example(terms=[[("var", "b", 2), ("var", "b", 0), ("const", "1", 0)]], spaced=False)
+def test_parse_of_literal_runs_matches_recursive_evaluation(terms, spaced):
+    expr = _render_sum(terms, spaced)
+    f = parse(expr, _NAMES)
+    for k in range(16):
+        assignment = {name: (k >> (3 - j)) & 1 for j, name in enumerate(_NAMES)}
+        assert evaluate(f, k) == _eval_sum(terms, assignment), expr
 
 
 # --- from_minterms / evaluate / truth_set ---------------------------------------

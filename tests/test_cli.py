@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+from svmem import cli, grover
 from svmem.cli import MAX_STATE_FILE_BYTES, build_parser
 from svmem.grover import MAX_AMPLITUDE_UPDATES, MAX_ITERATIONS, MAX_SHOTS
 from svmem.memory import CAPACITY_CAP
@@ -511,3 +514,64 @@ def test_over_cap_request_exits_2_unallocated(run_cli, tmp_path, limit):
     assert err.startswith("svmem: error:")
     assert peak < (1 << 20) + built
 
+
+def test_a_file_without_a_size_is_read_in_chunks_up_to_the_cap(run_cli, monkeypatch):
+    # a device reports size 0 and never ends; it is refused once it passes the cap
+    cap = 3 << 20
+    monkeypatch.setattr(cli, "MAX_STATE_FILE_BYTES", cap)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["read", "/dev/zero", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert _json(out) == {
+        "status": "error",
+        "error_message": f"state file /dev/zero exceeds the cap of {cap} bytes",
+    }
+    assert err.startswith("svmem: error:")
+    assert peak < 2 * cap
+
+
+def test_a_piped_state_file_reads_as_the_file_does(tmp_path):
+    # a pipe reports no size either: it is read in chunks to its end
+    path = tmp_path / "s.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+    def svmem(argv, stdin=None):
+        done = subprocess.run([sys.executable, "-m", "svmem", *argv], input=stdin,
+                              capture_output=True, env=env, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    assert svmem(["encode", "BOZB" + "B" * 12, "--out", str(path)])[0] == 0
+    for argv in (["read", "{}", "33000"], ["cam", "{}", "expr:ab'c'"]):
+        from_file = svmem([a.replace("{}", str(path)) for a in argv])
+        assert from_file[0] == 0
+        piped = svmem([a.replace("{}", "/dev/stdin") for a in argv], stdin=path.read_bytes())
+        assert piped == from_file
+
+
+def test_encode_out_holds_about_two_and_a_quarter_states(run_cli, tmp_path):
+    # an n=20 encode (a 16 MiB state, 12 MiB of file): the state, one code
+    # per pair and the file's bytes, gathered straight into the buffer
+    # that is written
+    path = tmp_path / "s.json"
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(["encode", "BOZB" + "B" * 16, "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "")
+    assert path.read_bytes().endswith(b"[0.0, 0.0]]}\n")
+    assert peak <= 2.3 * (16 << 20)
+
+
+def test_over_cap_shots_are_refused_before_the_search(run_cli, monkeypatch):
+    calls = []
+    monkeypatch.setattr(grover, "apply_phase", lambda *args: calls.append(args))
+    code, out, _ = run_cli(["grover", "needle:0", "-n", "18", "--shots", str(MAX_SHOTS + 1)])
+    assert code == 2
+    assert _json(out)["error_message"] == f"{MAX_SHOTS + 1} shots exceeds the cap of {MAX_SHOTS}"
+    assert calls == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svmem import statevec
+from svmem import cli, statevec
 from svmem.boolfn import (
     count_functions,
     default_var_names,
@@ -454,6 +454,8 @@ INTEGER_ENTRY_POINTS = {
     "capacity": ("qubit count", capacity),
     "run": ("iteration count", lambda v: run(needle(5, 3), iterations=v).to_json_dict()),
     "predicted_success": ("iteration count", lambda v: predicted_success(8, 1, v)),
+    "run shots": ("shot count", lambda v: run(needle(5, 3), seed=1, shots=v).to_json_dict()),
+    "StateVector": ("qubit count", lambda v: StateVector(v, np.ones(4))),
 }
 
 
@@ -624,30 +626,30 @@ def test_to_json_dict_strided_view_matches_reference(view):
 
 
 def test_state_file_round_trip_is_byte_identical_at_n18(run_cli, tmp_path, monkeypatch):
-    # encode --out, then read and cam, once with the distinct-pair text and
-    # whole-array load and save, and once with json plus the per-pair
-    # references; files and stdout match
+    # encode --out writes the per-amplitude reference's text and a newline;
+    # read and cam print alike whether the CLI loads the file or json and
+    # the per-pair reference load it
     pattern = "BOZB" + "B" * 10 + "OBZB"
+    state = str(tmp_path / "state.json")
     commands = [
-        ["read", "{state}", "70000", "--shots", "1000", "--seed", "3"],
-        ["cam", "{state}", "expr:ab'c'", "--shots", "500", "--seed", "9"],
+        ["read", state, "70000", "--shots", "1000", "--seed", "3"],
+        ["cam", state, "expr:ab'c'", "--shots", "500", "--seed", "9"],
     ]
-
-    def run_all(tag):
-        state = str(tmp_path / f"{tag}.json")
-        code, out, _ = run_cli(["encode", pattern, "--out", state])
-        assert (code, out) == (0, "")
-        outputs = [run_cli([state if a == "{state}" else a for a in argv]) for argv in commands]
-        with open(state, "rb") as fh:
-            return fh.read(), outputs
-
-    written, outputs = run_all("whole")
+    assert run_cli(["encode", pattern, "--out", state])[:2] == (0, "")
+    with open(state, "rb") as fh:
+        assert fh.read() == (reference_to_json_text(encode(pattern)) + "\n").encode("ascii")
+    outputs = [run_cli(argv) for argv in commands]
     assert all(code == 0 for code, _, _ in outputs)
-    monkeypatch.setattr(StateVector, "from_json_dict", staticmethod(reference_from_json_dict))
-    monkeypatch.setattr(StateVector, "to_json_dict", reference_to_json_dict)
-    monkeypatch.setattr(StateVector, "from_json_text", staticmethod(reference_from_json_text))
-    monkeypatch.setattr(StateVector, "to_json_text", reference_to_json_text)
-    assert run_all("reference") == (written, outputs)
+    loads = []
+
+    def reference_load(path):
+        loads.append(path)
+        with open(path) as fh:
+            return reference_from_json_text(fh.read())
+
+    monkeypatch.setattr(cli, "_load_state", reference_load)
+    assert [run_cli(argv) for argv in commands] == outputs
+    assert loads == [state, state]  # the reference really did the loading
 
 
 # --- state files as text: each distinct pair formatted and parsed once ------------
@@ -865,21 +867,13 @@ PIECE_BYTES = "0123456789.-e, N\0"
         lambda width: st.lists(st.text(PIECE_BYTES, min_size=width, max_size=width), min_size=1,
                                max_size=4)),
     seed=st.integers(0, 2**32 - 1),
-    bracket=st.one_of(st.none(), st.tuples(st.integers(0, 2**16), st.sampled_from("[]"))),
 )
-def test_equal_width_pieces_give_their_bytes_as_filled_words(n, pool, seed, bracket):
+def test_equal_width_pieces_give_their_bytes_as_filled_words(n, pool, seed):
     pieces = [pool[k] for k in np.random.default_rng(seed).integers(len(pool), size=1 << n)]
     width = len(pool[0])
-    if bracket is not None and width:
-        at, char = bracket
-        piece = pieces[at % len(pieces)]
-        pieces[at % len(pieces)] = piece[: at % width] + char + piece[at % width + 1 :]
     buf = np.frombuffer(canonical_text(n, pieces).encode("ascii"), np.uint8)
     start, stop = len('{"n": %d, "amps": [[' % n), buf.size - 3
     words = statevec._piece_words(buf, start, stop, 1 << n)
-    if bracket is not None and width:
-        assert words is None
-        return
     # per piece: each 8 bytes, or the fewer that end it, after 0xFF fill bytes,
     # as one little-endian word
     expected = [
@@ -889,6 +883,42 @@ def test_equal_width_pieces_give_their_bytes_as_filled_words(n, pool, seed, brac
     ]
     assert words.dtype == np.dtype("<u8")
     assert words.T.tolist() == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    n=st.integers(1, 8),
+    pool=st.integers(1, 24).flatmap(
+        lambda width: st.lists(st.text(PIECE_BYTES, min_size=width, max_size=width), min_size=1,
+                               max_size=4)),
+    seed=st.integers(0, 2**32 - 1),
+    at=st.integers(0, 2**16),
+    bracket=st.sampled_from("[]"),
+    newline=st.booleans(),
+)
+def test_a_bracket_in_any_one_piece_sends_the_text_to_json(n, pool, seed, at, bracket, newline):
+    # the pieces keep one width, so only the check on the distinct pieces
+    # can see the bracket, wherever it stands
+    pieces = [pool[k] for k in np.random.default_rng(seed).integers(len(pool), size=1 << n)]
+    piece = pieces[at % len(pieces)]
+    column = at % len(piece)
+    pieces[at % len(pieces)] = piece[:column] + bracket + piece[column + 1 :]
+    text = canonical_text(n, pieces)[: None if newline else -1]
+    assert statevec._canonical_amps(text) is None
+    assert statevec._canonical_amps(text.encode("ascii")) is None
+    assert load_outcome(StateVector.from_json_text, text) == load_outcome(
+        reference_from_json_text, text)
+
+
+@pytest.mark.parametrize("n, piece", [(1, "0, 0], [0, 0"), (2, "1.0, 0.0], [0.0, 0.0")])
+def test_a_piece_that_holds_two_pairs_sends_the_text_to_json(n, piece):
+    # all pieces alike and of one width, each the text of two pairs: read
+    # as one distinct piece it would parse, so only its bracket refuses it
+    text = canonical_text(n, [piece] * (1 << n))
+    assert statevec._canonical_amps(text) is None
+    expected = load_outcome(reference_from_json_text, text)
+    assert expected == (ValueError, f"expected {1 << n} amplitude pairs for n={n}")
+    assert load_outcome(StateVector.from_json_text, text) == expected
 
 
 def test_an_encoded_file_loads_in_about_one_state():
