@@ -152,25 +152,18 @@ class StateVector:
     def to_json_text(self) -> str:
         """json.dumps(self.to_json_dict()), formatting each distinct amplitude pair once.
 
-        Pairs are numbered by the bits of their two parts, so -0.0 stays
-        apart from 0.0. One json.dumps writes the distinct pairs, NaN and
-        Infinity as json writes them, and the text is gathered from a table
-        of their texts by number: no Python object per amplitude.
+        Pairs are numbered exactly by the bits of their two parts, so -0.0
+        stays apart from 0.0. One json.dumps writes the distinct pairs the
+        numbering gives, and the text is gathered from a table of their
+        texts by number: no Python object per amplitude.
         """
         return str(memoryview(self._json_bytes()), "ascii")
 
     def _json_bytes(self, end: bytes = b"") -> np.ndarray:
         """Package-internal: to_json_text's text and then end, as the bytes of one uint8 array."""
         bits = np.ascontiguousarray(self.amps).view(np.uint64).reshape(-1, 2)
-        codes, keys = _dense_codes(bits[:, 0])
-        # real parts repeat and imaginary ones differ: number the pairs by both parts
-        if keys.size < codes.size and not np.all(bits[:, 1] == bits[0, 1]):
-            im_codes, im_keys = _dense_codes(bits[:, 1])
-            codes, keys = _dense_codes(codes * im_keys.size + im_codes)
-            del im_codes
-        distinct = np.empty(keys.size, np.complex128)
-        distinct[codes] = self.amps
-        pairs = distinct.view(np.float64).reshape(-1, 2).tolist()
+        codes, distinct = _dense_codes(bits.T)
+        pairs = distinct.view(np.float64).tolist()  # a row per distinct amplitude
         # the listing is the text of the distinct pairs alone: the same head,
         # the pairs in code order, the same tail
         text = json.dumps({"n": self.n, "amps": pairs})
@@ -178,7 +171,7 @@ class StateVector:
         # one row per distinct pair text, NUL-padded; JSON holds no NUL, so
         # the padding is the fill that _joined_pairs drops
         table = np.array(text[start:-3].split("], ["), dtype="S").view(np.uint8)
-        table = table.reshape(keys.size, -1)
+        table = table.reshape(len(distinct), -1)
         table[table == 0] = _FILL_BYTE
         head, tail = text[:start].encode("ascii"), text[-3:].encode("ascii") + end
         del distinct, pairs, text
@@ -244,7 +237,6 @@ _SEPARATOR = int.from_bytes(b"], [", "little")
 # before them with a byte that ASCII never holds, which _joined_pairs drops
 _FILL = np.array([(1 << 8 * (8 - k)) - 1 for k in range(9)], dtype="<u8")
 _FILL_BYTE = 0xFF
-_HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # odd, so the hash is one-to-one in each word
 
 
 def _canonical_amps(data: str | bytes) -> tuple[int, np.ndarray] | None:
@@ -252,9 +244,9 @@ def _canonical_amps(data: str | bytes) -> tuple[int, np.ndarray] | None:
 
     data is the text or its bytes; a text is encoded here, so that its
     bytes are freed once its pieces are read. Each pair's piece (its text
-    between the brackets) is keyed by its bytes in 8-byte words: one word
-    is the key itself, more are hashed, and then every piece is checked
-    against one piece of its key. None also when the pieces differ in
+    between the brackets) is read as its bytes in 8-byte words, and the
+    pieces are numbered exactly by those words, which also gives the
+    distinct pieces, one per number. None also when the pieces differ in
     width, when a distinct piece holds a bracket, and when a distinct pair
     fails json or the pair rule, so the json path raises the error with the
     index of the first bad pair. A distinct pair that is not finite raises
@@ -274,23 +266,14 @@ def _canonical_amps(data: str | bytes) -> tuple[int, np.ndarray] | None:
     del data, head  # the match holds the bytes too
     if words is None:
         return None
-    codes, keys = _dense_codes(words[0] if len(words) == 1 else _hash_words(words))
-    if 2 * keys.size > codes.size:
-        return None
-    if len(words) == 1:
-        pieces = keys.reshape(-1, 1)  # a one-word piece is its own key
-    else:
-        pieces = np.empty((keys.size, len(words)), words.dtype)
-        pieces[codes] = words.T  # one piece per code: any of them, as all are equal
-        if not np.array_equal(pieces[codes], words.T):
-            return None  # two pieces share a hash
+    codes, pieces = _dense_codes(words)
     del words
     pieces = pieces.view(np.uint8)  # one row per distinct piece
     # every piece equals a distinct one, so a bracket-free distinct piece
     # clears them all; pieces that pass the pair rule hold no quote or
     # brace, which would give a string or an object; so each piece parses
     # alone as it stands in the whole text
-    if np.any((pieces == ord("[")) | (pieces == ord("]"))):
+    if 2 * len(pieces) > codes.size or np.any((pieces == ord("[")) | (pieces == ord("]"))):
         return None
     try:
         values = _pair_values(json.loads(_joined_pairs(pieces, None, b"[[", b"]]").tobytes()))
@@ -326,16 +309,32 @@ def _piece_words(buf: np.ndarray, start: int, stop: int, pieces: int) -> np.ndar
     return words
 
 
-def _hash_words(words: np.ndarray) -> np.ndarray:
-    """A uint64 hash of each piece's words; equal pieces hash alike, others rarely."""
-    keys = words[0].copy()
+def _dense_codes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's index among the distinct columns of words, and those columns in order.
+
+    words is (w, N) uint64; the distinct columns are the rows of a (count, w)
+    matrix, as np.unique gives the rows of words.T. A later word equal in
+    every column is skipped; any other is folded in: code * the word's
+    distinct count + code in the word, numbered again, is exact in int64 as
+    codes are below N, and its divmod by that count gives back both codes.
+    """
+    codes, values = _number_keys(words[0])
+    columns = [values]
     for word in words[1:]:
-        keys *= _HASH_MULTIPLIER
-        keys += word
-    return keys
+        if np.all(word == word[0]):
+            columns.append(np.full(columns[0].size, word[0]))
+            continue
+        word_codes, values = _number_keys(word)
+        codes *= values.size
+        codes += word_codes
+        del word_codes
+        codes, keys = _number_keys(codes)
+        prior, own = np.divmod(keys, values.size)
+        columns = [column[prior] for column in columns] + [values[own]]
+    return codes, np.stack(columns, axis=1)
 
 
-def _dense_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _number_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each key's index among the distinct keys, and the distinct keys in ascending order."""
     distinct = np.sort(keys)
     first = np.empty(distinct.size, bool)

@@ -806,15 +806,30 @@ def test_from_json_text_edge_cases_match_reference(text, outcome):
         assert expected[0] == outcome
 
 
-def test_from_json_text_parses_each_distinct_pair_once(monkeypatch):
-    # an encoded word has two distinct pairs, so json.loads sees only them
+def encoded_file():
     psi = encode("BOZB" + "B" * 8)
-    text = psi.to_json_text() + "\n"
+    return psi.to_json_text() + "\n", psi.amps
+
+
+def two_word_piece_file():
+    # 10-byte pieces whose first 8 bytes, "0.50, 0.", are the same in every piece
+    pick = np.random.default_rng(12).integers(2, size=1 << 12).astype(bool)
+    pieces = np.where(pick, "0.50, 0.75", "0.50, 0.25")
+    return canonical_text(12, pieces), np.where(pick, 0.5 + 0.75j, 0.5 + 0.25j)
+
+
+@pytest.mark.parametrize("build, pairs", [
+    (encoded_file, [[0.0, 0.0], [1.0, 0.0]]),
+    (two_word_piece_file, [[0.5, 0.25], [0.5, 0.75]]),
+], ids=["encoded", "two-word pieces"])
+def test_from_json_text_parses_each_distinct_pair_once(build, pairs, monkeypatch):
+    # each file has two distinct pairs, so json.loads sees only them
+    text, amps = build()
     seen, loads = [], json.loads
     monkeypatch.setattr(json, "loads", lambda text: seen.append(text) or loads(text))
-    assert StateVector.from_json_text(text).amps.tobytes() == psi.amps.tobytes()
+    assert StateVector.from_json_text(text).amps.tobytes() == amps.tobytes()
     assert len(seen) == 1
-    assert sorted(loads(seen[0])) == [[0.0, 0.0], [1.0, 0.0]]
+    assert sorted(loads(seen[0])) == pairs
 
 
 # --- the canonical path's own accept rule, against json + the per-pair loader -----
@@ -854,6 +869,34 @@ def test_a_far_wider_piece_sends_the_text_to_json():
     assert outcome == load_outcome(reference_from_json_text, text)
     assert outcome[0] == 12
     assert peak < 8 << 20
+
+
+# word values at both ends of uint64, so a fold that lost a bit would show
+WORD_VALUES = [0, 1, 2, 0xFF, 1 << 32, 1 << 63, (1 << 64) - 1]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    w=st.integers(1, 4),
+    size=st.integers(1, 512),
+    alphabet=st.lists(st.sampled_from(WORD_VALUES), min_size=1, max_size=4, unique=True),
+    constant=st.lists(st.booleans(), min_size=4, max_size=4),
+    all_distinct=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_codes_number_columns_as_np_unique(w, size, alphabet, constant, all_distinct, seed):
+    rng = np.random.default_rng(seed)
+    words = np.array(alphabet, np.uint64)[rng.integers(len(alphabet), size=(w, size))]
+    for word, alike in zip(words, constant):
+        if alike:  # the same value in every column
+            word[:] = word[0]
+    if all_distinct:  # one word of distinct values makes every column distinct
+        words[rng.integers(w)] = np.uint64((1 << 64) - 1) - rng.permutation(size).astype(np.uint64)
+    codes, distinct = statevec._dense_codes(words)
+    expected, inverse = np.unique(words.T, axis=0, return_inverse=True)
+    assert distinct.dtype == np.uint64
+    assert distinct.tolist() == expected.tolist()
+    assert codes.tolist() == inverse.reshape(-1).tolist()
 
 
 # piece bytes with no bracket, so that equal widths pass the stride route
@@ -934,6 +977,22 @@ def test_an_encoded_file_loads_in_about_one_state():
         tracemalloc.stop()
     assert loaded.amps.tobytes() == psi.amps.tobytes()
     assert peak <= 1.7 * psi.amps.nbytes
+
+
+def test_a_file_of_two_word_pieces_loads_in_about_one_state():
+    # an n=20 file of 10-byte pieces (14 MiB), loaded from its bytes as the
+    # CLI loads a file: two words and one code per pair, and the 16 MiB
+    # state; each piece's second word, its "00", is the same in every piece
+    pick = np.random.default_rng(20).integers(2, size=1 << 20).astype(bool)
+    data = canonical_text(20, np.where(pick, "0.25, 0.00", "0.50, 0.00")).encode("ascii")
+    tracemalloc.start()
+    try:
+        loaded = StateVector._from_file_bytes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.amps.tobytes() == np.where(pick, 0.25 + 0j, 0.5 + 0j).tobytes()
+    assert peak <= 1.7 * loaded.amps.nbytes
 
 
 def test_an_encoded_state_saves_in_about_one_state():
