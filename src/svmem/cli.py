@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -22,18 +21,11 @@ from .grover import AUTO, check_iterations, sample_counts
 from .grover import run as grover_run
 from .memory import cam_match, capacity_json_text, ram_read, recognizes
 from .oracle import emit_circuit
-from .statevec import DEFAULT_QUBIT_CAP, DEFAULT_SUPPORT_EPS, StateVector, encode
+from .statevec import DEFAULT_SUPPORT_EPS, StateVector, encode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RESOURCE = 2
-
-# Longest state file read: the canonical text at the qubit cap, 2^24 pairs
-# of at most 54 bytes, is about 864 MiB.
-MAX_STATE_FILE_BYTES = 64 << DEFAULT_QUBIT_CAP
-
-# Bytes read per call from a state file that reports no size (a pipe or a device)
-_READ_CHUNK = 1 << 20
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -138,29 +130,6 @@ def _parse_function_spec(spec: str, n: int) -> BoolFn:
     raise ValueError(f"unknown function spec kind {kind!r}")
 
 
-def _load_state(path: str) -> StateVector:
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size > MAX_STATE_FILE_BYTES:  # refused unread
-            raise _over_cap(path)
-        data = fh.read() if size else _read_chunks(fh, path)
-    return StateVector._from_file_bytes(data)
-
-
-def _read_chunks(fh, path: str) -> bytearray:
-    """All of a file that reports no size, read in chunks until it passes the cap."""
-    data = bytearray()
-    while chunk := fh.read(_READ_CHUNK):
-        data += chunk
-        if len(data) > MAX_STATE_FILE_BYTES:
-            raise _over_cap(path)
-    return data
-
-
-def _over_cap(path: str) -> ResourceLimitError:
-    return ResourceLimitError(f"state file {path} exceeds the cap of {MAX_STATE_FILE_BYTES} bytes")
-
-
 def _with_samples(payload: dict, probability: float, args) -> dict:
     if args.shots:
         counts = sample_counts(np.array([1.0 - probability, probability]), args.shots, args.seed)
@@ -178,13 +147,13 @@ def _cmd_encode(args) -> np.ndarray:
 
 
 def _cmd_read(args) -> dict:
-    psi = _load_state(args.state_file)
+    psi = StateVector._load(args.state_file)
     bit, probability = ram_read(psi, args.k, args.tolerance)
     return _with_samples({"bit": bit, "probability": probability}, probability, args)
 
 
 def _cmd_cam(args) -> dict:
-    psi = _load_state(args.state_file)
+    psi = StateVector._load(args.state_file)
     f = _parse_function_spec(args.function, psi.n)
     probability = cam_match(psi, f)
     payload = {"probability": probability, "recognizes": recognizes(f, psi, args.tolerance)}

@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -35,6 +36,13 @@ from .errors import DegenerateStateError, ResourceLimitError
 # The one size cap for registers, function arity and state files: 2^24
 # amplitudes = 256 MiB of complex128.
 DEFAULT_QUBIT_CAP = 24
+
+# Longest state file read: the canonical text at the qubit cap, 2^24 pairs
+# of at most 54 bytes, is about 864 MiB.
+MAX_STATE_FILE_BYTES = 64 << DEFAULT_QUBIT_CAP
+
+# Bytes read per call from a state file that reports no size (a pipe or a device)
+_READ_CHUNK = 1 << 20
 
 DEFAULT_SUPPORT_EPS = 1e-9
 
@@ -162,7 +170,7 @@ class StateVector:
     def _json_bytes(self, end: bytes = b"") -> np.ndarray:
         """Package-internal: to_json_text's text and then end, as the bytes of one uint8 array."""
         bits = np.ascontiguousarray(self.amps).view(np.uint64).reshape(-1, 2)
-        codes, distinct = _dense_codes(bits.T)
+        codes, distinct = _dense_codes(list(bits.T))
         pairs = distinct.view(np.float64).tolist()  # a row per distinct amplitude
         # the listing is the text of the distinct pairs alone: the same head,
         # the pairs in code order, the same tail
@@ -189,7 +197,7 @@ class StateVector:
         the pair rule, goes to json.loads and from_json_dict whole. Text
         nested too deeply for json raises ValueError.
         """
-        canonical = _canonical_amps(text)
+        canonical = _canonical_amps(text.encode("ascii")) if text.isascii() else None
         if canonical is not None:
             return cls._adopt(*canonical)
         try:
@@ -199,13 +207,28 @@ class StateVector:
         return cls.from_json_dict(data)
 
     @classmethod
-    def _from_file_bytes(cls, data: bytes) -> StateVector:
-        """Package-internal: from_json_text(open(path).read()) for a file of these bytes.
+    def _load(cls, path: str) -> StateVector:
+        """Package-internal: from_json_text(open(path).read()), refused past the byte cap.
 
-        A canonical file is read on its bytes and never decoded; any other
-        is decoded as open(path).read() decodes it, in the locale's encoding
-        with universal newlines.
+        The file is read once, in binary: whole if it reports a size, and
+        refused unread if that size passes MAX_STATE_FILE_BYTES; in chunks if
+        it reports none (a pipe or a device), until it ends or passes the cap.
+        A canonical file is read on its bytes and never decoded; any other is
+        decoded as open(path).read() decodes it, in the locale's encoding with
+        universal newlines.
         """
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size:  # refused unread past the cap
+                data = fh.read() if size <= MAX_STATE_FILE_BYTES else b""
+            else:  # a pipe or a device
+                data = bytearray()
+                while len(data) <= MAX_STATE_FILE_BYTES and (chunk := fh.read(_READ_CHUNK)):
+                    data += chunk
+        if max(size, len(data)) > MAX_STATE_FILE_BYTES:
+            raise ResourceLimitError(
+                f"state file {path} exceeds the cap of {MAX_STATE_FILE_BYTES} bytes"
+            )
         canonical = _canonical_amps(data)
         if canonical is not None:
             return cls._adopt(*canonical)
@@ -239,11 +262,11 @@ _FILL = np.array([(1 << 8 * (8 - k)) - 1 for k in range(9)], dtype="<u8")
 _FILL_BYTE = 0xFF
 
 
-def _canonical_amps(data: str | bytes) -> tuple[int, np.ndarray] | None:
+def _canonical_amps(data: bytes) -> tuple[int, np.ndarray] | None:
     """(n, amplitudes) of canonical text with at most half its pairs distinct, else None.
 
-    data is the text or its bytes; a text is encoded here, so that its
-    bytes are freed once its pieces are read. Each pair's piece (its text
+    data is the text's bytes; once its pieces are read they are freed, if
+    the caller holds no other reference. Each pair's piece (its text
     between the brackets) is read as its bytes in 8-byte words, and the
     pieces are numbered exactly by those words, which also gives the
     distinct pieces, one per number. None also when the pieces differ in
@@ -252,8 +275,6 @@ def _canonical_amps(data: str | bytes) -> tuple[int, np.ndarray] | None:
     index of the first bad pair. A distinct pair that is not finite raises
     ValueError.
     """
-    if isinstance(data, str):
-        data = data.encode("ascii") if data.isascii() else b""
     head = _CANONICAL_HEAD.match(data)
     end = len(data) - data.endswith(b"\n")
     if head is None or not data.endswith(_CANONICAL_TAIL, 0, end) or not data.isascii():
@@ -283,17 +304,18 @@ def _canonical_amps(data: str | bytes) -> tuple[int, np.ndarray] | None:
     return n, values[codes]
 
 
-def _piece_words(buf: np.ndarray, start: int, stop: int, pieces: int) -> np.ndarray | None:
-    """(words, pieces) of the pieces "p0], [p1], [ ... ], [pk]" in buf[start:stop], else None.
+def _piece_words(buf: np.ndarray, start: int, stop: int, pieces: int) -> list[np.ndarray] | None:
+    """The words of the pieces "p0], [p1], [ ... ], [pk]" in buf[start:stop], else None.
 
     buf[stop - 1] is the last "]", and 8 bytes precede start. The pieces,
     as many as the caller expects, must all share one width: the body is
     then a (pieces, width + 4) byte matrix, read by strided views. Each
     piece becomes its bytes in little-endian uint64 words, 0xFF-filled:
-    word j holds bytes 8j..8j+7 as the high bytes of the 8 that end at the
-    last of them, so equal words mean equal bytes. None unless "], ["
-    follows each of the first pieces - 1 pieces. A piece may still hold a
-    bracket; the caller checks the distinct pieces.
+    word j, an array of one value per piece, holds bytes 8j..8j+7 as the
+    high bytes of the 8 that end at the last of them, so equal words mean
+    equal bytes. None unless "], [" follows each of the first pieces - 1
+    pieces. A piece may still hold a bracket; the caller checks the
+    distinct pieces.
     """
     stride, rest = divmod(stop - start + 3, pieces)
     if rest or stride < 4:
@@ -301,30 +323,35 @@ def _piece_words(buf: np.ndarray, start: int, stop: int, pieces: int) -> np.ndar
     width = stride - 4
     if not np.all(np.ndarray((pieces - 1,), "<u4", buf, start + width, (stride,)) == _SEPARATOR):
         return None
-    words = np.empty((max(1, -(-width // 8)), pieces), "<u8")
-    for j, word in enumerate(words):
-        high = min(8 * j + 8, width)  # where the word's bytes end in its piece
+    words = []
+    for low in range(0, max(width, 1), 8):
+        high = min(low + 8, width)  # where the word's bytes end in its piece
         window = np.ndarray((pieces,), "<u8", buf, start + high - 8, (stride,))
-        np.bitwise_or(window, _FILL[high - 8 * j], out=word)
+        words.append(window | _FILL[high - low])
     return words
 
 
-def _dense_codes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dense_codes(words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Each column's index among the distinct columns of words, and those columns in order.
 
-    words is (w, N) uint64; the distinct columns are the rows of a (count, w)
-    matrix, as np.unique gives the rows of words.T. A later word equal in
-    every column is skipped; any other is folded in: code * the word's
-    distinct count + code in the word, numbered again, is exact in int64 as
-    codes are below N, and its divmod by that count gives back both codes.
+    words is a list of w uint64 arrays of N values, the rows of a (w, N)
+    matrix, and is emptied here: each word is popped as it is numbered, so
+    no word outlives its codes. The distinct columns are the rows of a
+    (count, w) matrix, as np.unique gives the rows of the matrix's
+    transpose. A later word equal in every column is skipped; any other
+    is folded in: code * the word's distinct count + code in the word,
+    numbered again, is exact in int64 as codes are below N, and its divmod
+    by that count gives back both codes.
     """
-    codes, values = _number_keys(words[0])
+    codes, values = _number_keys(words.pop(0))
     columns = [values]
-    for word in words[1:]:
+    while words:
+        word = words.pop(0)
         if np.all(word == word[0]):
             columns.append(np.full(columns[0].size, word[0]))
             continue
         word_codes, values = _number_keys(word)
+        del word
         codes *= values.size
         codes += word_codes
         del word_codes

@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import io
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -29,3 +30,12 @@ def run_cli():
         return code, out.getvalue(), err.getvalue()
 
     return _run
+
+
+def traced_peak(call):
+    """(call(), the peak bytes tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,10 +1,10 @@
 """Truth tables: constructors, the expression parser, and counting."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -134,12 +134,7 @@ def test_parse_syntax_errors():
 def test_parse_holds_a_few_columns():
     # each variable's column is built where it appears, not kept per name
     names = default_var_names(20)
-    tracemalloc.start()
-    try:
-        parse("".join(names), names)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: parse("".join(names), names))
     assert peak <= 4 * (1 << 20)
 
 

@@ -4,16 +4,27 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 
+import numpy as np
 import pytest
+from conftest import traced_peak
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from svmem import cli, grover
-from svmem.cli import MAX_STATE_FILE_BYTES, build_parser
-from svmem.grover import MAX_AMPLITUDE_UPDATES, MAX_ITERATIONS, MAX_SHOTS
-from svmem.memory import CAPACITY_CAP
+from svmem import grover, statevec
+from svmem.boolfn import default_var_names, from_minterms, needle, parse
+from svmem.cli import build_parser
+from svmem.errors import ResourceLimitError, SimulatorError
+from svmem.grover import MAX_AMPLITUDE_UPDATES, MAX_ITERATIONS, MAX_SHOTS, sample_counts
+from svmem.memory import CAPACITY_CAP, cam_match, ram_read, recognizes
 from svmem.oracle import MAX_NETLIST_BYTES
-from svmem.statevec import DEFAULT_QUBIT_CAP
+from svmem.statevec import (
+    DEFAULT_QUBIT_CAP,
+    DEFAULT_SUPPORT_EPS,
+    MAX_STATE_FILE_BYTES,
+    StateVector,
+    encode,
+)
 
 
 def _json(stdout):
@@ -450,6 +461,112 @@ def test_deeply_nested_state_file_is_a_json_error(run_cli, tmp_path, argv):
     assert err.startswith("svmem: error:")
 
 
+# --- read and cam keep the contract on any state file -----------------------------
+
+AMPLITUDE_POOL = (0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 5e-324)
+FUNCTION_SPECS = (
+    "expr:a", "expr:a'b", "expr:a + a'", "expr:ab + c'", "expr:1", "expr:a&b",
+    "minterms:0,1", "minterms:0,3", "minterms:", "needle:0", "needle:2", "needle:40", "table:1",
+)
+STATE_FILE_EDITS = ("none", "no newline", "crlf", "truncated", *'[],"x', "\xff")
+
+
+@st.composite
+def state_files(draw):
+    """(bytes, n) of a canonical state file of n <= 5, encoded or pooled, then at most one edit."""
+    if draw(st.booleans()):
+        psi = encode(draw(st.text("ZOB", min_size=1, max_size=5)))
+    else:
+        n = draw(st.integers(0, 5))
+        parts = draw(st.lists(st.sampled_from(AMPLITUDE_POOL), min_size=2 << n, max_size=2 << n))
+        psi = StateVector(n, np.array(parts).view(np.complex128))
+    data = psi.to_json_text().encode("ascii") + b"\n"
+    # half the files keep their pairs, so that most readouts succeed
+    edit = draw(st.sampled_from(STATE_FILE_EDITS[:3 if draw(st.booleans()) else None]))
+    at = draw(st.integers(0, 2**16))
+    if edit == "no newline":
+        data = data[:-1]
+    elif edit == "crlf":
+        data = data[:-1] + b"\r\n"
+    elif edit == "truncated":
+        data = data[: at % len(data)]
+    elif len(edit) == 1:  # one byte written over
+        at %= len(data)
+        data = data[:at] + edit.encode("latin-1") + data[at + 1 :]
+    return data, psi.n
+
+
+def reference_readout(path, command, operand, tolerance, shots, seed):
+    """The payload read or cam prints, from json.loads and from_json_dict, or the error."""
+    try:
+        with open(path) as fh:
+            psi = StateVector.from_json_dict(json.loads(fh.read()))
+        if command == "read":
+            bit, probability = ram_read(psi, operand, tolerance)
+            payload = {"bit": bit, "probability": probability}
+        else:
+            kind, _, body = operand.partition(":")
+            if kind == "expr":
+                f = parse(body, default_var_names(psi.n))
+            elif kind == "minterms":
+                f = from_minterms([int(k) for k in body.split(",") if k], psi.n)
+            elif kind == "needle":
+                f = needle(int(body), psi.n)
+            else:
+                raise ValueError(f"unknown function spec kind {kind!r}")
+            probability = cam_match(psi, f)
+            payload = {"probability": probability, "recognizes": recognizes(f, psi, tolerance)}
+        if shots:
+            counts = sample_counts(np.array([1.0 - probability, probability]), shots, seed)
+            payload["shots"] = shots
+            payload["samples"] = {str(bit): count for bit, count in counts.items()}
+    except ResourceLimitError as exc:
+        return 2, str(exc)
+    except (SimulatorError, ValueError) as exc:
+        return 1, str(exc)
+    return 0, payload
+
+
+@settings(
+    deadline=None, max_examples=200, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    state=state_files(),
+    command=st.sampled_from(["read", "cam"]),
+    address=st.integers(-1, 40),
+    in_range=st.booleans(),
+    spec=st.sampled_from(FUNCTION_SPECS),
+    tolerance=st.sampled_from([None, 1e-3, 0.5, 0.0]),
+    sampling=st.one_of(st.none(), st.tuples(st.integers(1, 20), st.integers(0, 2**64 - 1))),
+)
+def test_read_and_cam_keep_the_contract_on_any_state_file(
+    run_cli, tmp_path, state, command, address, in_range, spec, tolerance, sampling
+):
+    data, n = state
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    if in_range:  # an address of the state as saved
+        address %= 1 << n
+    operand = address if command == "read" else spec
+    argv = [command, str(path), str(operand)]
+    if tolerance is not None:
+        argv += ["--tolerance", repr(tolerance)]
+    shots, seed = sampling or (0, None)
+    if sampling:  # seeded, so that the samples are the reference's
+        argv += ["--shots", str(shots), "--seed", str(seed)]
+    code, out, err = run_cli(argv)
+    eps = DEFAULT_SUPPORT_EPS if tolerance is None else tolerance
+    expected = reference_readout(path, command, operand, eps, shots, seed)
+    assert code in (0, 1, 2)
+    assert code == expected[0]
+    if code == 0:
+        assert (out, err) == (json.dumps(expected[1]) + "\n", "")
+    else:
+        assert out == json.dumps({"status": "error", "error_message": expected[1]}) + "\n"
+        assert err.startswith("svmem: error:")
+
+
 # --- every limit refuses its over-cap request before allocating for it ------------
 
 # one request per limit: (argv, error message, bytes the request must build first)
@@ -503,12 +620,7 @@ def test_over_cap_request_exits_2_unallocated(run_cli, tmp_path, limit):
         pass
     os.truncate(big, MAX_STATE_FILE_BYTES + 1)  # sparse: no block is written
     argv = [a.replace("{big}", big) for a in argv]
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (code, out, err), peak = traced_peak(lambda: run_cli(argv))
     assert code == 2
     assert _json(out) == {"status": "error", "error_message": message.replace("{big}", big)}
     assert err.startswith("svmem: error:")
@@ -518,13 +630,8 @@ def test_over_cap_request_exits_2_unallocated(run_cli, tmp_path, limit):
 def test_a_file_without_a_size_is_read_in_chunks_up_to_the_cap(run_cli, monkeypatch):
     # a device reports size 0 and never ends; it is refused once it passes the cap
     cap = 3 << 20
-    monkeypatch.setattr(cli, "MAX_STATE_FILE_BYTES", cap)
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(["read", "/dev/zero", "0"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    monkeypatch.setattr(statevec, "MAX_STATE_FILE_BYTES", cap)
+    (code, out, err), peak = traced_peak(lambda: run_cli(["read", "/dev/zero", "0"]))
     assert code == 2
     assert _json(out) == {
         "status": "error",
@@ -557,12 +664,8 @@ def test_encode_out_holds_about_two_and_a_quarter_states(run_cli, tmp_path):
     # per pair and the file's bytes, gathered straight into the buffer
     # that is written
     path = tmp_path / "s.json"
-    tracemalloc.start()
-    try:
-        code, out, _ = run_cli(["encode", "BOZB" + "B" * 16, "--out", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    argv = ["encode", "BOZB" + "B" * 16, "--out", str(path)]
+    (code, out, _), peak = traced_peak(lambda: run_cli(argv))
     assert (code, out) == (0, "")
     assert path.read_bytes().endswith(b"[0.0, 0.0]]}\n")
     assert peak <= 2.3 * (16 << 20)

@@ -3,10 +3,10 @@
 import itertools
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -150,12 +150,7 @@ def test_capacity_json_text_at_the_cap_in_about_two_texts():
     # json.dumps of the int report takes seconds here, so the rows are
     # pinned by their count and ends, and the total by 3^n itself
     n = CAPACITY_CAP
-    tracemalloc.start()
-    try:
-        text = capacity_json_text(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(lambda: capacity_json_text(n))
     power = str(2**n)
     assert text.startswith(
         f'{{"n": {n}, "rows": [{{"i": 0, "choose": 1, "codes": {power}, "product": {power}}}, '

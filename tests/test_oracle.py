@@ -1,9 +1,9 @@
 """Marking/phase oracle semantics, netlist emission, and replay."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -212,12 +212,7 @@ def test_emit_matches_per_line_reference(n, minterms):
 def test_emit_all_true_holds_about_two_texts():
     # the byte buffer and the one decoded str; no list per minterm or line
     f = BoolFn(18, np.ones(1 << 18, bool))
-    tracemalloc.start()
-    try:
-        text = emit_circuit(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(lambda: emit_circuit(f))
     assert text.count("\n") == (1 << 18) + 1
     assert text.endswith("mcx controls=" + ",".join(f"({q},+)" for q in range(18)) + " target=aux\n")
     assert peak <= 2.2 * len(text)
@@ -278,12 +273,7 @@ def test_replay_holds_about_two_copies_of_the_state():
     f = from_minterms({0, 12345, (1 << 16) - 1}, 16)
     psi = kron(encode("B" * 16), encode("O"))
     text = emit_circuit(f)
-    tracemalloc.start()
-    try:
-        out = replay_circuit(text, psi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: replay_circuit(text, psi))
     np.testing.assert_array_equal(out.amps, apply_marking(f, psi).amps)
     assert peak <= 2.5 * psi.amps.nbytes
 

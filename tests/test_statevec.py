@@ -3,15 +3,15 @@
 import copy
 import itertools
 import json
-import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svmem import cli, statevec
+from svmem import statevec
 from svmem.boolfn import (
     count_functions,
     default_var_names,
@@ -237,13 +237,12 @@ def test_statevector_rejects_wrong_length():
 def test_statevector_wrong_length_message_without_two_to_the_n(n, count):
     # 2^n prints in decimal where Python prints an int that long; an n that
     # no array can match is rejected without building 2^n
-    tracemalloc.start()
-    try:
+    def build():
         with pytest.raises(ValueError) as excinfo:
             StateVector(n, np.ones(2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return excinfo
+
+    excinfo, peak = traced_peak(build)
     assert str(excinfo.value) == f"expected {count} amplitudes for n={n}, got shape (2,)"
     assert peak < 1 << 20  # 1 << 10**8 alone is 12 MiB
 
@@ -647,7 +646,7 @@ def test_state_file_round_trip_is_byte_identical_at_n18(run_cli, tmp_path, monke
         with open(path) as fh:
             return reference_from_json_text(fh.read())
 
-    monkeypatch.setattr(cli, "_load_state", reference_load)
+    monkeypatch.setattr(StateVector, "_load", staticmethod(reference_load))
     assert [run_cli(argv) for argv in commands] == outputs
     assert loads == [state, state]  # the reference really did the loading
 
@@ -749,7 +748,7 @@ def test_from_json_text_matches_reference(n, seed, pool_size, overrides, edit, c
 WIDTHS_7_TO_17 = ["0, 1.00", "0, 1.000", "0, 1.0001", "0, 1.00000000002", "0, 1.000000000003"]
 
 
-@pytest.mark.parametrize("text, outcome", [
+EDGE_TEXTS = pytest.mark.parametrize("text, outcome", [
     ('{"n": 1, "amps": ' + "[" * 100_000 + "]" * 100_000 + "}", "state file nests too deeply"),
     ('{"n": 1, "amps": [[' + "[" * 100_000 + "]" * 100_000 + "]]}\n",
      "state file nests too deeply"),
@@ -797,6 +796,9 @@ WIDTHS_7_TO_17 = ["0, 1.00", "0, 1.000", "0, 1.0001", "0, 1.00000000002", "0, 1.
     "widths 7 and 9", "bracket in an equal-width piece", "quotes in pieces",
     "a string across pieces", "braces in pieces", "an object across pieces",
 ])
+
+
+@EDGE_TEXTS
 def test_from_json_text_edge_cases_match_reference(text, outcome):
     expected = load_outcome(reference_from_json_text, text)
     assert load_outcome(StateVector.from_json_text, text) == expected
@@ -804,6 +806,16 @@ def test_from_json_text_edge_cases_match_reference(text, outcome):
         assert issubclass(expected[0], ValueError) and outcome in expected[1]
     else:
         assert expected[0] == outcome
+
+
+@EDGE_TEXTS
+def test_state_file_edge_cases_load_as_their_text_does(text, outcome, tmp_path):
+    # the file's UTF-8 bytes go through the byte route or, decoded as
+    # open(path).read() decodes them, through from_json_text
+    path = tmp_path / "state.json"
+    path.write_bytes(text.encode("utf-8"))
+    expected = load_outcome(reference_from_json_text, path.read_text())
+    assert load_outcome(StateVector._load, str(path)) == expected
 
 
 def encoded_file():
@@ -844,12 +856,7 @@ def test_over_cap_header_is_rejected_before_two_to_the_n(n):
     text = canonical_text(n, ["1.0, 0.0"] * 4)
     expected = load_outcome(reference_from_json_text, text)
     assert expected == (ResourceLimitError, f"{n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}")
-    tracemalloc.start()
-    try:
-        outcome = load_outcome(StateVector.from_json_text, text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    outcome, peak = traced_peak(lambda: load_outcome(StateVector.from_json_text, text))
     assert outcome == expected
     assert peak < 1 << 20  # 1 << 999_999_999 alone is 125 MB
 
@@ -860,12 +867,7 @@ def test_a_far_wider_piece_sends_the_text_to_json():
     pieces = ["1.0, 0.0"] * 4096
     pieces[7] = "0." + "0" * 20_000 + "1, 0"
     text = canonical_text(12, pieces)
-    tracemalloc.start()
-    try:
-        outcome = load_outcome(StateVector.from_json_text, text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    outcome, peak = traced_peak(lambda: load_outcome(StateVector.from_json_text, text))
     assert outcome == load_outcome(reference_from_json_text, text)
     assert outcome[0] == 12
     assert peak < 8 << 20
@@ -892,7 +894,9 @@ def test_dense_codes_number_columns_as_np_unique(w, size, alphabet, constant, al
             word[:] = word[0]
     if all_distinct:  # one word of distinct values makes every column distinct
         words[rng.integers(w)] = np.uint64((1 << 64) - 1) - rng.permutation(size).astype(np.uint64)
-    codes, distinct = statevec._dense_codes(words)
+    given = list(words)
+    codes, distinct = statevec._dense_codes(given)
+    assert given == []  # each word was popped as it was numbered
     expected, inverse = np.unique(words.T, axis=0, return_inverse=True)
     assert distinct.dtype == np.uint64
     assert distinct.tolist() == expected.tolist()
@@ -924,8 +928,8 @@ def test_equal_width_pieces_give_their_bytes_as_filled_words(n, pool, seed):
             piece.encode("ascii")[low : low + 8] for low in range(0, max(width, 1), 8))]
         for piece in pieces
     ]
-    assert words.dtype == np.dtype("<u8")
-    assert words.T.tolist() == expected
+    assert all(word.dtype == np.dtype("<u8") for word in words)
+    assert np.array(words).T.tolist() == expected
 
 
 @settings(deadline=None, max_examples=200)
@@ -947,7 +951,6 @@ def test_a_bracket_in_any_one_piece_sends_the_text_to_json(n, pool, seed, at, br
     column = at % len(piece)
     pieces[at % len(pieces)] = piece[:column] + bracket + piece[column + 1 :]
     text = canonical_text(n, pieces)[: None if newline else -1]
-    assert statevec._canonical_amps(text) is None
     assert statevec._canonical_amps(text.encode("ascii")) is None
     assert load_outcome(StateVector.from_json_text, text) == load_outcome(
         reference_from_json_text, text)
@@ -958,7 +961,7 @@ def test_a_piece_that_holds_two_pairs_sends_the_text_to_json(n, piece):
     # all pieces alike and of one width, each the text of two pairs: read
     # as one distinct piece it would parse, so only its bracket refuses it
     text = canonical_text(n, [piece] * (1 << n))
-    assert statevec._canonical_amps(text) is None
+    assert statevec._canonical_amps(text.encode("ascii")) is None
     expected = load_outcome(reference_from_json_text, text)
     assert expected == (ValueError, f"expected {1 << n} amplitude pairs for n={n}")
     assert load_outcome(StateVector.from_json_text, text) == expected
@@ -969,42 +972,37 @@ def test_an_encoded_file_loads_in_about_one_state():
     # word and one code per pair, and the 16 MiB state
     psi = encode("BOZB" + "B" * 16)
     text = psi.to_json_text() + "\n"
-    tracemalloc.start()
-    try:
-        loaded = StateVector.from_json_text(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    loaded, peak = traced_peak(lambda: StateVector.from_json_text(text))
     assert loaded.amps.tobytes() == psi.amps.tobytes()
     assert peak <= 1.7 * psi.amps.nbytes
 
 
-def test_a_file_of_two_word_pieces_loads_in_about_one_state():
-    # an n=20 file of 10-byte pieces (14 MiB), loaded from its bytes as the
-    # CLI loads a file: two words and one code per pair, and the 16 MiB
-    # state; each piece's second word, its "00", is the same in every piece
+@pytest.mark.parametrize("pieces, bound", [
+    (("0.25, 0.00", "0.50, 0.00"), 1.7),
+    (("0.50, 0.25", "0.50, 0.75"), 1.7),
+    (("0.12345678, 1.000", "0.12345678, 2.000"), 2.2),
+], ids=["second word alike", "first word alike", "17-byte pieces"])
+def test_a_file_of_two_word_pieces_loads_in_about_one_state(pieces, bound):
+    # n=20 files read from their bytes as a state file is: 10-byte pieces
+    # (14 MiB) take two words, one the same in every piece and so never
+    # numbered, and peak at the larger of numbering a word (the word, its
+    # sorted copy, its codes) and the gather (the codes, the 16 MiB
+    # state); 17-byte pieces take three words, two of which vary, and the
+    # second is numbered beside the first one's codes
     pick = np.random.default_rng(20).integers(2, size=1 << 20).astype(bool)
-    data = canonical_text(20, np.where(pick, "0.25, 0.00", "0.50, 0.00")).encode("ascii")
-    tracemalloc.start()
-    try:
-        loaded = StateVector._from_file_bytes(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert loaded.amps.tobytes() == np.where(pick, 0.25 + 0j, 0.5 + 0j).tobytes()
-    assert peak <= 1.7 * loaded.amps.nbytes
+    data = canonical_text(20, np.where(pick, *pieces)).encode("ascii")
+    (n, amps), peak = traced_peak(lambda: statevec._canonical_amps(data))
+    values = [complex(*json.loads(f"[{piece}]")) for piece in pieces]
+    assert n == 20
+    assert amps.tobytes() == np.where(pick, *values).tobytes()
+    assert peak <= bound * amps.nbytes
 
 
 def test_an_encoded_state_saves_in_about_one_state():
     # an n=20 state (16 MiB) written as 12 MiB of text: a code per pair,
     # the gathered rows, the output bytes and the text
     psi = encode("BOZB" + "B" * 16)
-    tracemalloc.start()
-    try:
-        text = psi.to_json_text()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(psi.to_json_text)
     assert text.endswith("[0.0, 0.0]]}")
     assert peak <= 1.6 * psi.amps.nbytes
 
@@ -1013,12 +1011,7 @@ def test_a_grover_state_saves_in_a_few_texts():
     # the n=18 final state has two distinct pair texts, of 23 and 28 bytes;
     # each pair's gathered row is 32 bytes, not four whole 8-byte words + 4
     psi = run(needle(12345, 18)).final_state
-    tracemalloc.start()
-    try:
-        text = psi.to_json_text()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(psi.to_json_text)
     assert text.endswith("]]}")
     assert peak <= 3.35 * len(text)
 
