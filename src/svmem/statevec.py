@@ -197,7 +197,8 @@ class StateVector:
         the pair rule, goes to json.loads and from_json_dict whole. Text
         nested too deeply for json raises ValueError.
         """
-        canonical = _canonical_amps(text.encode("ascii")) if text.isascii() else None
+        words = _canonical_words(text.encode("ascii")) if text.isascii() else None
+        canonical = _canonical_amps(words)
         if canonical is not None:
             return cls._adopt(*canonical)
         try:
@@ -214,8 +215,7 @@ class StateVector:
         refused unread if that size passes MAX_STATE_FILE_BYTES; in chunks if
         it reports none (a pipe or a device), until it ends or passes the cap.
         A canonical file is read on its bytes and never decoded; any other is
-        decoded as open(path).read() decodes it, in the locale's encoding with
-        universal newlines.
+        decoded as open(path).read() does: locale encoding, universal newlines.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -229,7 +229,7 @@ class StateVector:
             raise ResourceLimitError(
                 f"state file {path} exceeds the cap of {MAX_STATE_FILE_BYTES} bytes"
             )
-        canonical = _canonical_amps(data)
+        canonical = _canonical_amps(_canonical_words(data))
         if canonical is not None:
             return cls._adopt(*canonical)
         with io.TextIOWrapper(io.BytesIO(data)) as fh:
@@ -262,18 +262,12 @@ _FILL = np.array([(1 << 8 * (8 - k)) - 1 for k in range(9)], dtype="<u8")
 _FILL_BYTE = 0xFF
 
 
-def _canonical_amps(data: bytes) -> tuple[int, np.ndarray] | None:
-    """(n, amplitudes) of canonical text with at most half its pairs distinct, else None.
+def _canonical_words(data: bytes) -> tuple[int, list[np.ndarray]] | None:
+    """(n, the words of its pieces) of canonical text with pieces of one width, else None.
 
-    data is the text's bytes; once its pieces are read they are freed, if
-    the caller holds no other reference. Each pair's piece (its text
-    between the brackets) is read as its bytes in 8-byte words, and the
-    pieces are numbered exactly by those words, which also gives the
-    distinct pieces, one per number. None also when the pieces differ in
-    width, when a distinct piece holds a bracket, and when a distinct pair
-    fails json or the pair rule, so the json path raises the error with the
-    index of the first bad pair. A distinct pair that is not finite raises
-    ValueError.
+    data is the text's bytes. The words are copies, so bytes that only the
+    argument holds are freed as the call returns, before any word is
+    numbered (a del in the callee frees an argument only from Python 3.11).
     """
     head = _CANONICAL_HEAD.match(data)
     end = len(data) - data.endswith(b"\n")
@@ -284,11 +278,21 @@ def _canonical_amps(data: bytes) -> tuple[int, np.ndarray] | None:
         return None
     stop = end - len(_CANONICAL_TAIL) + 1  # just past the tail's first "]"
     words = _piece_words(np.frombuffer(data, np.uint8), head.end(), stop, 1 << n)
-    del data, head  # the match holds the bytes too
-    if words is None:
+    return None if words is None else (n, words)
+
+
+def _canonical_amps(read: tuple[int, list[np.ndarray]] | None) -> tuple[int, np.ndarray] | None:
+    """(n, amplitudes) from _canonical_words(data) with at most half its pairs distinct, else None.
+
+    Numbering the pieces exactly by their words empties the list and gives
+    the distinct pieces. None also if one holds a bracket or its pair fails
+    json or the pair rule (the json path then names the first bad pair); a
+    distinct pair that is not finite raises ValueError.
+    """
+    if read is None:
         return None
+    n, words = read
     codes, pieces = _dense_codes(words)
-    del words
     pieces = pieces.view(np.uint8)  # one row per distinct piece
     # every piece equals a distinct one, so a bracket-free distinct piece
     # clears them all; pieces that pass the pair rule hold no quote or
@@ -351,10 +355,9 @@ def _dense_codes(words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
             columns.append(np.full(columns[0].size, word[0]))
             continue
         word_codes, values = _number_keys(word)
-        del word
         codes *= values.size
         codes += word_codes
-        del word_codes
+        del word, word_codes
         codes, keys = _number_keys(codes)
         prior, own = np.divmod(keys, values.size)
         columns = [column[prior] for column in columns] + [values[own]]

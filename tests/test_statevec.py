@@ -951,7 +951,7 @@ def test_a_bracket_in_any_one_piece_sends_the_text_to_json(n, pool, seed, at, br
     column = at % len(piece)
     pieces[at % len(pieces)] = piece[:column] + bracket + piece[column + 1 :]
     text = canonical_text(n, pieces)[: None if newline else -1]
-    assert statevec._canonical_amps(text.encode("ascii")) is None
+    assert statevec._canonical_amps(statevec._canonical_words(text.encode("ascii"))) is None
     assert load_outcome(StateVector.from_json_text, text) == load_outcome(
         reference_from_json_text, text)
 
@@ -961,7 +961,7 @@ def test_a_piece_that_holds_two_pairs_sends_the_text_to_json(n, piece):
     # all pieces alike and of one width, each the text of two pairs: read
     # as one distinct piece it would parse, so only its bracket refuses it
     text = canonical_text(n, [piece] * (1 << n))
-    assert statevec._canonical_amps(text.encode("ascii")) is None
+    assert statevec._canonical_amps(statevec._canonical_words(text.encode("ascii"))) is None
     expected = load_outcome(reference_from_json_text, text)
     assert expected == (ValueError, f"expected {1 << n} amplitude pairs for n={n}")
     assert load_outcome(StateVector.from_json_text, text) == expected
@@ -991,7 +991,8 @@ def test_a_file_of_two_word_pieces_loads_in_about_one_state(pieces, bound):
     # second is numbered beside the first one's codes
     pick = np.random.default_rng(20).integers(2, size=1 << 20).astype(bool)
     data = canonical_text(20, np.where(pick, *pieces)).encode("ascii")
-    (n, amps), peak = traced_peak(lambda: statevec._canonical_amps(data))
+    (n, amps), peak = traced_peak(
+        lambda: statevec._canonical_amps(statevec._canonical_words(data)))
     values = [complex(*json.loads(f"[{piece}]")) for piece in pieces]
     assert n == 20
     assert amps.tobytes() == np.where(pick, *values).tobytes()
