@@ -78,15 +78,6 @@ def check_index(k: int, n: int, what: str) -> int:
     return k
 
 
-# 2^14284 is the largest power of two that Python prints in its default 4300 digits
-_LONGEST_PRINTED_POWER = 14284
-
-
-def _power_of_two(n: int) -> str:
-    """2^n in decimal as a message prints it, or "2^n" where that would be too long to print."""
-    return str(1 << n) if n <= _LONGEST_PRINTED_POWER else f"2^{n}"
-
-
 def _check_finite(amps: np.ndarray) -> None:
     """Raise ValueError unless every amplitude is finite."""
     if not np.all(np.isfinite(amps)):
@@ -114,20 +105,19 @@ def parse_pattern(text: str) -> tuple[Factor, ...]:
 
 @dataclass(eq=False)
 class StateVector:
-    """2^n complex amplitudes indexed by basis state; not kept normalized."""
+    """2^n complex amplitudes indexed by basis state, n within the qubit cap; not normalized."""
 
     n: int
     amps: np.ndarray
 
     def __post_init__(self):
-        self.n = check_integer(self.n, "qubit count")
+        self.n = check_qubits(self.n)
         if self.n < 0:
             raise ValueError(f"qubit count must be >= 0, got {self.n}")
         amps = np.asarray(self.amps, dtype=np.complex128)
-        # no array has 2^63 items, so 1 << n is built only where it can match
-        if self.n >= 63 or amps.shape != (1 << self.n,):
+        if amps.shape != (1 << self.n,):
             raise ValueError(
-                f"expected {_power_of_two(self.n)} amplitudes for n={self.n}, got shape {amps.shape}"
+                f"expected {1 << self.n} amplitudes for n={self.n}, got shape {amps.shape}"
             )
         _check_finite(amps)
         self.amps = amps
@@ -189,23 +179,19 @@ class StateVector:
     def from_json_text(cls, text: str) -> StateVector:
         """from_json_dict(json.loads(text)), building a canonical file from its distinct pairs.
 
-        Text in the shape to_json_text writes (with or without one final
-        newline), ASCII, with its pair texts all of one width and at most
-        half of them distinct, is read on its bytes: each distinct
+        Text in the shape to_json_text writes (with or without one final LF,
+        CRLF or CR), ASCII, with its pair texts all of one width and at
+        most half of them distinct, is read on its bytes: each distinct
         pair is parsed once, and the amplitudes are gathered from them by
         index. Any other text, and canonical text whose distinct pairs fail
-        the pair rule, goes to json.loads and from_json_dict whole. Text
-        nested too deeply for json raises ValueError.
+        the pair rule, goes to json.loads and from_json_dict whole; but a
+        canonical header's n over the qubit cap raises ResourceLimitError
+        unparsed. Text nested too deeply for json raises ValueError.
         """
-        words = _canonical_words(text.encode("ascii")) if text.isascii() else None
-        canonical = _canonical_amps(words)
-        if canonical is not None:
+        read = _canonical_words(text.encode("ascii")) if text.isascii() else None
+        if read is not None and isinstance(canonical := _canonical_amps(read), tuple):
             return cls._adopt(*canonical)
-        try:
-            data = json.loads(text)
-        except RecursionError:
-            raise ValueError("state file nests too deeply") from None
-        return cls.from_json_dict(data)
+        return cls._from_json(text)
 
     @classmethod
     def _load(cls, path: str) -> StateVector:
@@ -214,8 +200,9 @@ class StateVector:
         The file is read once, in binary: whole if it reports a size, and
         refused unread if that size passes MAX_STATE_FILE_BYTES; in chunks if
         it reports none (a pipe or a device), until it ends or passes the cap.
-        A canonical file is read on its bytes and never decoded; any other is
-        decoded as open(path).read() does: locale encoding, universal newlines.
+        A canonical file is read on its bytes, freed once its words are read
+        (a late refusal rebuilds them for json); any other is decoded as
+        open(path).read() does: locale encoding, universal newlines.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -229,11 +216,23 @@ class StateVector:
             raise ResourceLimitError(
                 f"state file {path} exceeds the cap of {MAX_STATE_FILE_BYTES} bytes"
             )
-        canonical = _canonical_amps(_canonical_words(data))
-        if canonical is not None:
-            return cls._adopt(*canonical)
+        read = _canonical_words(data)
+        if read is not None:
+            del data  # the words are copies: free the bytes before the numbering
+            data = _canonical_amps(read)
+            if isinstance(data, tuple):
+                return cls._adopt(*data)
         with io.TextIOWrapper(io.BytesIO(data)) as fh:
-            return cls.from_json_text(fh.read())
+            return cls._from_json(fh.read())
+
+    @classmethod
+    def _from_json(cls, text: str) -> StateVector:
+        """from_json_dict(json.loads(text)); text nested too deeply for json raises ValueError."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("state file nests too deeply") from None
+        return cls.from_json_dict(data)
 
     @classmethod
     def from_json_dict(cls, data) -> StateVector:
@@ -251,7 +250,7 @@ class StateVector:
         return cls._adopt(n, amps)
 
 
-# the text to_json_text writes, with or without the newline the CLI appends
+# the text to_json_text writes, with or without one final newline
 _CANONICAL_HEAD = re.compile(rb'\{"n": (0|[1-9][0-9]{0,8}), "amps": \[\[')
 _CANONICAL_TAIL = b"]]}"
 _SEPARATOR = int.from_bytes(b"], [", "little")
@@ -262,36 +261,34 @@ _FILL = np.array([(1 << 8 * (8 - k)) - 1 for k in range(9)], dtype="<u8")
 _FILL_BYTE = 0xFF
 
 
-def _canonical_words(data: bytes) -> tuple[int, list[np.ndarray]] | None:
-    """(n, the words of its pieces) of canonical text with pieces of one width, else None.
+def _canonical_words(data: bytes) -> tuple[int, list[np.ndarray], bytes, bytes] | None:
+    """(n, its pieces' words, head, tail) of canonical text with pieces of one width, else None.
 
-    data is the text's bytes. The words are copies, so bytes that only the
-    argument holds are freed as the call returns, before any word is
-    numbered (a del in the callee frees an argument only from Python 3.11).
+    data is the text's bytes, ending in at most one LF, CRLF or CR;
+    head is data before the first piece, tail data from the last "]" on.
+    An n over the qubit cap raises ResourceLimitError. The words are
+    copies, so the caller may free data before they are numbered.
     """
     head = _CANONICAL_HEAD.match(data)
     end = len(data) - data.endswith(b"\n")
+    end -= data.endswith(b"\r", 0, end)
     if head is None or not data.endswith(_CANONICAL_TAIL, 0, end) or not data.isascii():
         return None
-    n = int(head.group(1))
-    if n > DEFAULT_QUBIT_CAP:  # before 1 << n; the json path reports it
-        return None
+    n = check_qubits(int(head.group(1)))  # before 1 << n
     stop = end - len(_CANONICAL_TAIL) + 1  # just past the tail's first "]"
     words = _piece_words(np.frombuffer(data, np.uint8), head.end(), stop, 1 << n)
-    return None if words is None else (n, words)
+    return None if words is None else (n, words, data[: head.end()], data[stop - 1 :])
 
 
-def _canonical_amps(read: tuple[int, list[np.ndarray]] | None) -> tuple[int, np.ndarray] | None:
-    """(n, amplitudes) from _canonical_words(data) with at most half its pairs distinct, else None.
+def _canonical_amps(read: tuple) -> tuple[int, np.ndarray] | np.ndarray:
+    """(n, amplitudes) from _canonical_words(data) with at most half its pairs distinct.
 
     Numbering the pieces exactly by their words empties the list and gives
-    the distinct pieces. None also if one holds a bracket or its pair fails
-    json or the pair rule (the json path then names the first bad pair); a
-    distinct pair that is not finite raises ValueError.
+    the distinct pieces. If more are distinct, one holds a bracket or its
+    pair fails json or the pair rule, data rebuilt from them instead, for
+    json to name the first bad pair. A distinct pair not finite raises ValueError.
     """
-    if read is None:
-        return None
-    n, words = read
+    n, words, head, tail = read
     codes, pieces = _dense_codes(words)
     pieces = pieces.view(np.uint8)  # one row per distinct piece
     # every piece equals a distinct one, so a bracket-free distinct piece
@@ -299,11 +296,11 @@ def _canonical_amps(read: tuple[int, list[np.ndarray]] | None) -> tuple[int, np.
     # brace, which would give a string or an object; so each piece parses
     # alone as it stands in the whole text
     if 2 * len(pieces) > codes.size or np.any((pieces == ord("[")) | (pieces == ord("]"))):
-        return None
+        return _joined_pairs(pieces, codes, head, tail)
     try:
         values = _pair_values(json.loads(_joined_pairs(pieces, None, b"[[", b"]]").tobytes()))
     except ValueError:
-        return None
+        return _joined_pairs(pieces, codes, head, tail)
     _check_finite(values)  # every distinct pair is some pair's value
     return n, values[codes]
 

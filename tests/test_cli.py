@@ -1,9 +1,11 @@
 """Subcommand behavior: JSON payloads, exit codes, and golden stability."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -564,6 +566,109 @@ def test_read_and_cam_keep_the_contract_on_any_state_file(
         assert (out, err) == (json.dumps(expected[1]) + "\n", "")
     else:
         assert out == json.dumps({"status": "error", "error_message": expected[1]}) + "\n"
+        assert err.startswith("svmem: error:")
+
+
+# --- encode, oracle-emit, grover and capacity against a model that runs no svmem -------
+
+FACTOR_VECTORS = {"Z": [1, 0], "O": [0, 1], "B": [1, 1]}
+COUNTS = (-1, 0, 1, 2, 3, 4, 5, 6, DEFAULT_QUBIT_CAP + 1)
+
+
+@st.composite
+def function_specs(draw, n):
+    """(spec, its truth set, or None if an index is out of range) on min(max(n, 1), 6) inputs."""
+    inputs = min(max(n, 1), 6)
+    size = 1 << inputs
+    kind = draw(st.sampled_from(["minterms", "needle", "expr"]))
+    if kind == "minterms":
+        ks = draw(st.lists(st.integers(0, size), max_size=5))
+        return "minterms:" + ",".join(map(str, ks)), None if size in ks else set(ks)
+    if kind == "needle":
+        k0 = draw(st.integers(0, size))
+        return f"needle:{k0}", None if k0 == size else {k0}
+    # a sum of cubes: each literal pins its input to 1, or to 0 where primed
+    cubes = draw(st.lists(
+        st.lists(st.sampled_from([None, 1, 0]), min_size=inputs, max_size=inputs), max_size=3))
+    terms = ["".join("abcdef"[j] + ("" if bit else "'") for j, bit in enumerate(cube)
+                     if bit is not None) or "1" for cube in cubes]
+    truth = {k for k in range(size) for cube in cubes if all(
+        bit is None or (k >> (inputs - 1 - j)) & 1 == bit for j, bit in enumerate(cube))}
+    return "expr:" + (" + ".join(terms) or "0"), truth
+
+
+@st.composite
+def cli_draws(draw):
+    """(argv, the exit code it should give, a check of stdout on exit 0) for one command."""
+    command = draw(st.sampled_from(["capacity", "encode", "oracle-emit", "grover"]))
+    if command == "capacity":
+        n = draw(st.one_of(st.integers(-1, 40), st.just(CAPACITY_CAP + 1)))
+        if n < 0 or n > CAPACITY_CAP:
+            return ["capacity", str(n)], 1 if n < 0 else 2, None
+        rows = [{"i": i, "choose": math.comb(n, i), "codes": 2 ** (n - i),
+                 "product": math.comb(n, i) * 2 ** (n - i)} for i in range(n + 1)]
+        text = json.dumps({"n": n, "rows": rows, "total": str(3**n)}) + "\n"
+        return ["capacity", str(n)], 0, lambda out: out == text
+    n = draw(st.sampled_from(COUNTS))
+    if command == "encode":
+        pattern = draw(st.text(draw(st.sampled_from(["ZOBzob", "ZOBzobX"])), min_size=max(n, 0),
+                               max_size=max(n, 0)))
+        if "X" in pattern or not pattern:
+            return ["encode", pattern], 1, None
+        if n > DEFAULT_QUBIT_CAP:
+            return ["encode", pattern], 2, None
+        amps = reduce(np.kron, [np.array(FACTOR_VECTORS[c.upper()], complex) for c in pattern])
+        text = json.dumps({"n": n, "amps": [[a.real, a.imag] for a in amps.tolist()]}) + "\n"
+        return ["encode", pattern], 0, lambda out: out == text
+    spec, truth = draw(function_specs(n))
+    argv = [command, spec, "-n", str(n)]
+    if command == "grover":
+        iters = draw(st.sampled_from(["auto", "AUTO", "0", "1", "2", "3", "4", "5"]))
+        shots, seed = draw(st.one_of(
+            st.just((0, None)), st.tuples(st.integers(1, 20), st.integers(0, 2**64 - 1))))
+        argv += ["--iters", iters] + (["--shots", str(shots), "--seed", str(seed)] if shots else [])
+    if n > DEFAULT_QUBIT_CAP:  # the arity or the iteration check refuses it first
+        return argv, 2, None
+    # an empty truth set has no Grover rotation, but an empty netlist
+    if n < 1 or truth is None or (command == "grover" and not truth):
+        return argv, 1, None
+    if command == "oracle-emit":
+        lines = [f"qubits {n + 1}\n"] + [
+            "mcx controls=" + ",".join(f"({q},{'-+'[(k >> (n - 1 - q)) & 1]})" for q in range(n))
+            + " target=aux\n" for k in sorted(truth)
+        ]
+        return argv, 0, lambda out: out == "".join(lines)
+    size, marked = 1 << n, len(truth)
+    theta = math.asin(math.sqrt(marked / size))
+    # AUTO is round(pi / (4 theta) - 1/2), ties up: the first peak of sin^2((2k + 1) theta)
+    k = math.floor(math.pi / (4 * theta)) if iters.lower() == "auto" else int(iters)
+    predicted = math.sin((2 * k + 1) * theta) ** 2
+
+    def check(out):
+        report = json.loads(out)
+        samples = report.pop("samples")
+        assert abs(report.pop("simulated_success") - predicted) <= 1e-12
+        assert sum(samples.values()) == shots and all(0 <= int(i) < size for i in samples)
+        return report == {"n": n, "M": marked, "iterations": k, "predicted_success": predicted,
+                          "seed": seed, "rng": grover.RNG_ALGORITHM}
+
+    return argv, 0, check
+
+
+@settings(
+    deadline=None, max_examples=300, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(draw=cli_draws())
+def test_generated_commands_match_a_model_that_runs_no_svmem(run_cli, draw):
+    argv, expected, check = draw
+    code, out, err = run_cli(argv)
+    assert code == expected
+    if code == 0:
+        assert check(out) and err == ""
+    else:
+        message = json.loads(out)["error_message"]
+        assert out == json.dumps({"status": "error", "error_message": message}) + "\n"
         assert err.startswith("svmem: error:")
 
 

@@ -230,20 +230,16 @@ def test_statevector_rejects_wrong_length():
         StateVector(3, np.zeros(4, complex))
 
 
-@pytest.mark.parametrize("n, count", [
-    (3, "8"), (64, str(2**64)), (14284, str(1 << 14284)),
-    (14285, "2^14285"), (20000, "2^20000"), (10**8, "2^100000000"),
-])
-def test_statevector_wrong_length_message_without_two_to_the_n(n, count):
-    # 2^n prints in decimal where Python prints an int that long; an n that
-    # no array can match is rejected without building 2^n
+@pytest.mark.parametrize("n", [DEFAULT_QUBIT_CAP + 1, 64, 20000, 10**8])
+def test_statevector_over_cap_is_refused_without_two_to_the_n(n):
+    # the qubit cap comes before the length check, so no 2^n is built
     def build():
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(ResourceLimitError) as excinfo:
             StateVector(n, np.ones(2))
         return excinfo
 
     excinfo, peak = traced_peak(build)
-    assert str(excinfo.value) == f"expected {count} amplitudes for n={n}, got shape (2,)"
+    assert str(excinfo.value) == f"{n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}"
     assert peak < 1 << 20  # 1 << 10**8 alone is 12 MiB
 
 
@@ -383,6 +379,7 @@ OVER_CAP_ENTRY_POINTS = {
     "from_json_dict": lambda n: StateVector.from_json_dict({"n": n, "amps": []}),
     "enumerate_patterns": enumerate_patterns,
     "default_var_names": default_var_names,
+    "StateVector": lambda n: StateVector(n, np.ones(2)),
 }
 
 
@@ -766,6 +763,8 @@ EDGE_TEXTS = pytest.mark.parametrize("text, outcome", [
     ('{"n": 2, "amps": [[], [1, 0], [1, 0], [1, 0]]}\n', "amplitude 0 must be a [re, im] number pair"),
     ('{"n": 2, "amps": [["a], [b", 0], [1, 0], [1, 0], [1, 0]]}\n', "amplitude 0 must be"),
     ('{"n": 2, "amps": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}\r\n', 2),
+    ('{"n": 2, "amps": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}\r', 2),
+    ('{"n": 2, "amps": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [1.0, 0.0]]}\n', 2),
     ('{"n": 2, "amps": [[ 1.0 ,  0.0 ], [0.0, 0.0], [ 1.0 ,  0.0 ], [\t0.0,0.0\n]]}\n', 2),
     # pieces of one width are read by stride; 7 and 9 alternating divide the
     # body into 12-byte rows too, but their separators are not where rows end
@@ -791,10 +790,10 @@ EDGE_TEXTS = pytest.mark.parametrize("text, outcome", [
 ], ids=[
     "deep", "deep in pairs", "5000 digits", "truncated", "word", "overflowing norm", "one pair",
     "7 of 8 pairs", "9 of 8 pairs", "one value in two texts", "NUL lengthens a piece",
-    "non-ASCII space", "widths 7 to 17", "empty pair", "bracket text in a string", "crlf",
-    "spaces in pairs", "one wide pair", "width 8", "width 9", "width 16", "width 17",
-    "widths 7 and 9", "bracket in an equal-width piece", "quotes in pieces",
-    "a string across pieces", "braces in pieces", "an object across pieces",
+    "non-ASCII space", "widths 7 to 17", "empty pair", "bracket text in a string", "crlf", "cr",
+    "more than half distinct", "spaces in pairs", "one wide pair", "width 8", "width 9",
+    "width 16", "width 17", "widths 7 and 9", "bracket in an equal-width piece",
+    "quotes in pieces", "a string across pieces", "braces in pieces", "an object across pieces",
 ])
 
 
@@ -951,7 +950,8 @@ def test_a_bracket_in_any_one_piece_sends_the_text_to_json(n, pool, seed, at, br
     column = at % len(piece)
     pieces[at % len(pieces)] = piece[:column] + bracket + piece[column + 1 :]
     text = canonical_text(n, pieces)[: None if newline else -1]
-    assert statevec._canonical_amps(statevec._canonical_words(text.encode("ascii"))) is None
+    refused = statevec._canonical_amps(statevec._canonical_words(text.encode("ascii")))
+    assert refused.tobytes() == text.encode("ascii")  # rebuilt for json
     assert load_outcome(StateVector.from_json_text, text) == load_outcome(
         reference_from_json_text, text)
 
@@ -961,7 +961,8 @@ def test_a_piece_that_holds_two_pairs_sends_the_text_to_json(n, piece):
     # all pieces alike and of one width, each the text of two pairs: read
     # as one distinct piece it would parse, so only its bracket refuses it
     text = canonical_text(n, [piece] * (1 << n))
-    assert statevec._canonical_amps(statevec._canonical_words(text.encode("ascii"))) is None
+    refused = statevec._canonical_amps(statevec._canonical_words(text.encode("ascii")))
+    assert refused.tobytes() == text.encode("ascii")  # rebuilt for json
     expected = load_outcome(reference_from_json_text, text)
     assert expected == (ValueError, f"expected {1 << n} amplitude pairs for n={n}")
     assert load_outcome(StateVector.from_json_text, text) == expected
@@ -975,6 +976,34 @@ def test_an_encoded_file_loads_in_about_one_state():
     loaded, peak = traced_peak(lambda: StateVector.from_json_text(text))
     assert loaded.amps.tobytes() == psi.amps.tobytes()
     assert peak <= 1.7 * psi.amps.nbytes
+
+
+def test_load_frees_the_file_bytes_before_numbering(tmp_path):
+    # the file's 12 MiB of bytes are freed once their words are read, so
+    # they are not live beside the codes and the 16 MiB state
+    psi = encode("BOZB" + "B" * 16)
+    path = tmp_path / "state.json"
+    path.write_bytes(psi._json_bytes(b"\n"))
+    loaded, peak = traced_peak(lambda: StateVector._load(str(path)))
+    assert loaded.amps.tobytes() == psi.amps.tobytes()
+    assert peak <= 1.7 * psi.amps.nbytes
+
+
+def test_an_over_cap_state_file_is_refused_at_its_head(tmp_path, monkeypatch):
+    # a canonical n=16 file (786 kB) under a cap of 15: refused from its
+    # header, with no json parse, and holding about the file alone
+    text = encode("BOZB" + "B" * 12).to_json_text() + "\n"
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    monkeypatch.setattr(statevec, "DEFAULT_QUBIT_CAP", 15)
+    seen, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text: seen.append(text) or loads(text))
+    expected = (ResourceLimitError, "16 qubits exceeds the cap of 15")
+    outcome, peak = traced_peak(lambda: load_outcome(StateVector._load, str(path)))
+    assert outcome == expected
+    assert peak <= 1.1 * len(text)
+    assert load_outcome(StateVector.from_json_text, text) == expected
+    assert seen == []
 
 
 @pytest.mark.parametrize("pieces, bound", [
