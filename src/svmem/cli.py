@@ -30,10 +30,10 @@ EXIT_RESOURCE = 2
 
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; this tool reserves 2 for
-    # resource limits, so remap usage problems to 1
+    # resource limits, so remap usage problems to 1, ending in the error object
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(_fail(message, EXIT_USAGE, self.prog))
 
 
 @functools.cache
@@ -196,8 +196,8 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"svmem: error: {message}", file=sys.stderr)
+def _fail(message: str, code: int, prog: str = "svmem") -> int:
+    print(f"{prog}: error: {message}", file=sys.stderr)
     print(json.dumps({"status": "error", "error_message": message}))
     return code
 

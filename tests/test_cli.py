@@ -367,9 +367,10 @@ def test_deep_nesting_is_a_json_error(run_cli):
 def test_unread_flag_is_a_usage_error(run_cli, argv):
     code, out, err = run_cli(argv)
     assert code == 1
-    assert out == ""
+    message = "unrecognized arguments: " + " ".join(argv[-2:])
+    assert out == json.dumps({"status": "error", "error_message": message}) + "\n"
     assert err.startswith("usage:")
-    assert "unrecognized arguments: " + argv[-2] in err
+    assert err.endswith(f"svmem: error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -381,9 +382,10 @@ def test_seed_without_shots_is_a_usage_error(run_cli, state_file, argv):
     # read and cam use the seed only to sample; grover reports it
     code, out, err = run_cli([state_file if a == "{state}" else a for a in argv])
     assert code == 1
-    assert out == ""
+    message = "argument --seed: " + argv[0] + " uses it only with a positive --shots"
+    assert out == json.dumps({"status": "error", "error_message": message}) + "\n"
     assert err.startswith("usage:")
-    assert "argument --seed: " + argv[0] + " uses it only with a positive --shots" in err
+    assert err.endswith(f"svmem: error: {message}\n")
     code, out, _ = run_cli(["grover", "needle:0", "-n", "2", "--seed", "3"])
     assert code == 0 and _json(out)["seed"] == 3
 
@@ -597,10 +599,61 @@ def function_specs(draw, n):
     return "expr:" + (" + ".join(terms) or "0"), truth
 
 
+# per command: its positionals and its required options, all valid; no file is opened
+# before a usage error, so the state file need not exist
+GOOD_ARGUMENTS = {
+    "capacity": (["3"], []), "encode": (["ZZB"], []),
+    "read": (["s.json", "0"], []), "cam": (["s.json", "needle:0"], []),
+    "grover": (["needle:0"], ["-n", "2"]), "oracle-emit": (["needle:0"], ["-n", "2"]),
+}
+# per command: the integer arguments, as (where in argv, the name argparse gives it)
+INTEGER_ARGUMENTS = {
+    "capacity": [(1, "n")], "read": [(2, "k")], "grover": [(3, "-n")], "oracle-emit": [(3, "-n")],
+}
+# per command: a flag it does not read, and the message that refuses it
+UNREAD_FLAGS = {
+    "capacity": (["--shots", "5"], "unrecognized arguments: --shots 5"),
+    "encode": (["--tolerance", "0.5"], "unrecognized arguments: --tolerance 0.5"),
+    "oracle-emit": (["--seed", "1"], "unrecognized arguments: --seed 1"),
+    "grover": (["--tolerance", "0.5"], "unrecognized arguments: --tolerance 0.5"),
+    "read": (["--seed", "3"], "argument --seed: read uses it only with a positive --shots"),
+    "cam": (["--seed", "3"], "argument --seed: cam uses it only with a positive --shots"),
+}
+
+
+@st.composite
+def usage_errors(draw):
+    """(argv, the parser's prog, its message) for one usage error, drawn by kind."""
+    command = draw(st.sampled_from(sorted(GOOD_ARGUMENTS)))
+    positionals, options = GOOD_ARGUMENTS[command]
+    kind = draw(st.sampled_from(["missing positional", "unknown flag", "not an integer", "unread"]))
+    if kind == "missing positional":
+        # positionals bind in order, so the last one is the one missing
+        dropped = draw(st.integers(0, len(positionals) - 1))
+        argv = [command, *positionals[:dropped], *positionals[dropped + 1 :], *options]
+        name = {"read": "k", "capacity": "n", "encode": "pattern"}.get(command, "function")
+        return argv, f"svmem {command}", f"the following arguments are required: {name}"
+    argv = [command, *positionals, *options]
+    if kind == "unknown flag":
+        return argv + ["--bogus"], "svmem", "unrecognized arguments: --bogus"
+    if kind == "not an integer" and command in INTEGER_ARGUMENTS:
+        at, name = draw(st.sampled_from(INTEGER_ARGUMENTS[command]))
+        argv[at] = value = draw(st.sampled_from(["abc", "2.5", "1e3", "0x10", "nan"]))
+        return argv, f"svmem {command}", f"argument {name}: invalid int value: '{value}'"
+    flag, message = UNREAD_FLAGS[command]
+    return argv + flag, "svmem", message
+
+
 @st.composite
 def cli_draws(draw):
-    """(argv, the exit code it should give, a check of stdout on exit 0) for one command."""
-    command = draw(st.sampled_from(["capacity", "encode", "oracle-emit", "grover"]))
+    """(argv, the exit code it should give, a check of stdout on exit 0) for one command.
+
+    For a usage error the check is (the parser's prog, its message) instead.
+    """
+    command = draw(st.sampled_from(["capacity", "encode", "oracle-emit", "grover", "usage"]))
+    if command == "usage":
+        argv, prog, message = draw(usage_errors())
+        return argv, 1, (prog, message)
     if command == "capacity":
         n = draw(st.one_of(st.integers(-1, 40), st.just(CAPACITY_CAP + 1)))
         if n < 0 or n > CAPACITY_CAP:
@@ -666,10 +719,114 @@ def test_generated_commands_match_a_model_that_runs_no_svmem(run_cli, draw):
     assert code == expected
     if code == 0:
         assert check(out) and err == ""
+    elif isinstance(check, tuple):  # a usage error: argparse's usage line, then the message
+        prog, message = check
+        assert out == json.dumps({"status": "error", "error_message": message}) + "\n"
+        assert err.startswith(f"usage: {prog} ") and err.endswith(f"\n{prog}: error: {message}\n")
     else:
         message = json.loads(out)["error_message"]
         assert out == json.dumps({"status": "error", "error_message": message}) + "\n"
         assert err.startswith("svmem: error:")
+
+
+def test_help_is_not_a_usage_error(run_cli):
+    code, out, err = run_cli(["read", "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: svmem read ")
+
+
+# --- read and cam on any state file against a model that runs no svmem -----------
+
+def model_amplitudes(data):
+    """(amplitudes, squared norm) of a state file by json.loads, or None if read must refuse it."""
+    try:
+        state = json.loads(data.decode("utf-8"))
+    except ValueError:  # not UTF-8, or not JSON
+        return None
+    if not isinstance(state, dict) or type(state.get("n")) is not int:
+        return None
+    n, pairs = state["n"], state.get("amps")
+    if n < 0 or type(pairs) is not list or len(pairs) != 1 << n or not all(
+        type(p) is list and len(p) == 2 and all(type(v) in (int, float) for v in p) for p in pairs
+    ):
+        return None
+    try:
+        amps = [complex(re, im) for re, im in pairs]
+        total = sum(abs(a) ** 2 for a in amps)
+    except OverflowError:  # a part, a magnitude or a square past a double
+        return None
+    if not all(math.isfinite(abs(a)) for a in amps) or not 0 < total < math.inf:
+        return None
+    return amps, total
+
+
+def model_readout(data, command, operand, truth, eps):
+    """(exit code, payload on 0) of read or cam, from json.loads and pure-Python sums.
+
+    truth is the truth set the spec was drawn with (None if it names an index
+    out of range); the payload holds the probability and the bit or match.
+    """
+    state = model_amplitudes(data)
+    if state is None or not eps > 0:
+        return 1, None
+    amps, total = state
+    if command == "read":
+        if not 0 <= operand < len(amps):
+            return 1, None
+        magnitude = abs(amps[operand])
+        return 0, {"bit": int(magnitude > eps), "probability": magnitude**2 / total}
+    if len(amps) < 2 or truth is None:  # a function needs an input; an index must be in range
+        return 1, None
+    support = {k for k, a in enumerate(amps) if abs(a) > eps}
+    probability = sum(abs(amps[k]) ** 2 for k in truth) / total
+    return 0, {"probability": probability, "recognizes": support == truth}
+
+
+@settings(
+    deadline=None, max_examples=200, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    state=state_files(),
+    command=st.sampled_from(["read", "cam"]),
+    address=st.integers(-1, 40),
+    in_range=st.booleans(),
+    tolerance=st.sampled_from([None, 1e-3, 0.5, 0.0]),
+    shots=st.sampled_from([0, 1, 20]),
+    data=st.data(),
+)
+def test_read_and_cam_match_a_model_that_runs_no_svmem(
+    run_cli, tmp_path, state, command, address, in_range, tolerance, shots, data
+):
+    raw, n = state
+    path = tmp_path / "state.json"
+    path.write_bytes(raw)
+    spec, truth = data.draw(function_specs(n))
+    operand = (address % (1 << n) if in_range else address) if command == "read" else spec
+    argv = [command, str(path), str(operand)]
+    if tolerance is not None:
+        argv += ["--tolerance", repr(tolerance)]
+    if shots:
+        argv += ["--shots", str(shots), "--seed", "7"]
+    code, out, err = run_cli(argv)
+    eps = DEFAULT_SUPPORT_EPS if tolerance is None else tolerance
+    expected, payload = model_readout(raw, command, operand, truth, eps)
+    assert code == expected
+    if code:
+        error = json.loads(out)
+        assert set(error) == {"status", "error_message"} and error["status"] == "error"
+        assert err.startswith("svmem: error:")
+        return
+    report = json.loads(out)
+    probability = report.pop("probability")
+    assert math.isclose(probability, payload.pop("probability"), rel_tol=1e-12)
+    if shots:  # samples of the two outcomes; a certain outcome takes every shot
+        samples = report.pop("samples")
+        assert report.pop("shots") == shots == sum(samples.values())
+        assert set(samples) <= {"0", "1"}
+        if probability in (0.0, 1.0):
+            assert samples.get(str(int(probability))) == shots
+    assert report == payload and err == ""
 
 
 # --- every limit refuses its over-cap request before allocating for it ------------

@@ -11,7 +11,7 @@ from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svmem import statevec
+from svmem import statefile, statevec
 from svmem.boolfn import (
     count_functions,
     default_var_names,
@@ -894,7 +894,7 @@ def test_dense_codes_number_columns_as_np_unique(w, size, alphabet, constant, al
     if all_distinct:  # one word of distinct values makes every column distinct
         words[rng.integers(w)] = np.uint64((1 << 64) - 1) - rng.permutation(size).astype(np.uint64)
     given = list(words)
-    codes, distinct = statevec._dense_codes(given)
+    codes, distinct = statefile._dense_codes(given)
     assert given == []  # each word was popped as it was numbered
     expected, inverse = np.unique(words.T, axis=0, return_inverse=True)
     assert distinct.dtype == np.uint64
@@ -919,7 +919,7 @@ def test_equal_width_pieces_give_their_bytes_as_filled_words(n, pool, seed):
     width = len(pool[0])
     buf = np.frombuffer(canonical_text(n, pieces).encode("ascii"), np.uint8)
     start, stop = len('{"n": %d, "amps": [[' % n), buf.size - 3
-    words = statevec._piece_words(buf, start, stop, 1 << n)
+    words = statefile._piece_words(buf, start, stop, 1 << n)
     # per piece: each 8 bytes, or the fewer that end it, after 0xFF fill bytes,
     # as one little-endian word
     expected = [
@@ -950,7 +950,7 @@ def test_a_bracket_in_any_one_piece_sends_the_text_to_json(n, pool, seed, at, br
     column = at % len(piece)
     pieces[at % len(pieces)] = piece[:column] + bracket + piece[column + 1 :]
     text = canonical_text(n, pieces)[: None if newline else -1]
-    refused = statevec._canonical_amps(statevec._canonical_words(text.encode("ascii")))
+    refused = statefile._canonical_amps(statefile._canonical_words(text.encode("ascii")))
     assert refused.tobytes() == text.encode("ascii")  # rebuilt for json
     assert load_outcome(StateVector.from_json_text, text) == load_outcome(
         reference_from_json_text, text)
@@ -961,11 +961,38 @@ def test_a_piece_that_holds_two_pairs_sends_the_text_to_json(n, piece):
     # all pieces alike and of one width, each the text of two pairs: read
     # as one distinct piece it would parse, so only its bracket refuses it
     text = canonical_text(n, [piece] * (1 << n))
-    refused = statevec._canonical_amps(statevec._canonical_words(text.encode("ascii")))
+    refused = statefile._canonical_amps(statefile._canonical_words(text.encode("ascii")))
     assert refused.tobytes() == text.encode("ascii")  # rebuilt for json
     expected = load_outcome(reference_from_json_text, text)
     assert expected == (ValueError, f"expected {1 << n} amplitude pairs for n={n}")
     assert load_outcome(StateVector.from_json_text, text) == expected
+
+
+@pytest.mark.parametrize("pieces", [
+    [f"0.{k:06d}, 0.0" for k in range(16)],
+    ["1.0, 0.0", "0.0, 0.0", "0.0, 0.0", "[0.0, 0]"] * 4,
+    ["1.0, 0.0", "0.0, 0.0", "0.0, 0.0", "true, 0."] * 4,
+], ids=["all distinct", "bracket", "bad pair"])
+def test_a_late_refused_text_goes_to_json_as_given(pieces, tmp_path, monkeypatch):
+    # from_json_text still holds the caller's str, so a text refused once
+    # its pieces are numbered is not rebuilt from them; _load, which freed
+    # the file's bytes, rebuilds them, and both end as json reads the text
+    text = canonical_text(4, pieces)
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    rebuilt, joined = [], statefile._joined_pairs
+
+    def spy(pieces, codes, head, tail):
+        if codes is not None:  # a whole text, not the list of distinct pairs
+            rebuilt.append(len(codes))
+        return joined(pieces, codes, head, tail)
+
+    monkeypatch.setattr(statefile, "_joined_pairs", spy)
+    expected = load_outcome(reference_from_json_text, text)
+    assert load_outcome(StateVector.from_json_text, text) == expected
+    assert rebuilt == []
+    assert load_outcome(StateVector._load, str(path)) == expected
+    assert rebuilt == [16]
 
 
 def test_an_encoded_file_loads_in_about_one_state():
@@ -1021,7 +1048,7 @@ def test_a_file_of_two_word_pieces_loads_in_about_one_state(pieces, bound):
     pick = np.random.default_rng(20).integers(2, size=1 << 20).astype(bool)
     data = canonical_text(20, np.where(pick, *pieces)).encode("ascii")
     (n, amps), peak = traced_peak(
-        lambda: statevec._canonical_amps(statevec._canonical_words(data)))
+        lambda: statefile._canonical_amps(statefile._canonical_words(data)))
     values = [complex(*json.loads(f"[{piece}]")) for piece in pieces]
     assert n == 20
     assert amps.tobytes() == np.where(pick, *values).tobytes()
@@ -1062,9 +1089,9 @@ def test_repeated_bad_piece_fails_as_json_would(bad, first_bad, monkeypatch):
     pieces = ["0.0, 0.0".ljust(width)] * 8
     pieces[first_bad::3] = [BAD_PIECES[bad].ljust(width)] * len(pieces[first_bad::3])
     text = canonical_text(3, pieces)
-    seen, pair_values = [], statevec._pair_values
+    seen, pair_values = [], statefile._pair_values
     monkeypatch.setattr(
-        statevec, "_pair_values", lambda raw: seen.append(len(raw)) or pair_values(raw)
+        statefile, "_pair_values", lambda raw: seen.append(len(raw)) or pair_values(raw)
     )
     outcome = load_outcome(StateVector.from_json_text, text)
     assert seen[0] == 2  # the canonical path checked the two distinct pieces
