@@ -27,10 +27,7 @@ def default_var_names(n: int) -> tuple[str, ...]:
 
 
 def _check_arity(n: int) -> int:
-    n = check_qubits(n)
-    if n < 1:
-        raise ValueError(f"arity must be >= 1, got {n}")
-    return n
+    return check_qubits(n, 1, "arity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +101,7 @@ def truth_set(f: BoolFn) -> set[int]:
 
 def count_functions(n: int) -> int:
     """Number of Boolean functions on n inputs: 2^(2^n), exact."""
-    n = check_qubits(n)
-    if n < 0:
-        raise ValueError(f"arity must be >= 0, got {n}")
-    return 1 << (1 << n)
+    return 1 << (1 << check_qubits(n, name="arity"))
 
 
 # --- expression parsing ---------------------------------------------------

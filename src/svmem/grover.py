@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import BoolFn
-from .errors import NoSolutionError, ResourceLimitError
+from .errors import NoSolutionError
 from .oracle import apply_phase
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     StateVector,
     _check_finite,
-    check_integer,
+    check_cap,
+    check_count,
     check_qubits,
     probabilities,
 )
@@ -52,9 +53,7 @@ MAX_AMPLITUDE_UPDATES = 1 << (DEFAULT_QUBIT_CAP + 12)
 
 def uniform_state(n: int) -> StateVector:
     """Equal superposition with amplitudes 1/sqrt(2^n)."""
-    n = check_qubits(n)
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got {n}")
+    n = check_qubits(n, 1)
     amp = 1.0 / math.sqrt(1 << n)
     return StateVector._adopt(n, np.full(1 << n, amp, dtype=np.complex128))
 
@@ -91,9 +90,7 @@ def optimal_iterations(N: int, M: int) -> int:
 def predicted_success(N: int, M: int, k: int) -> float:
     """Closed-form success probability sin^2((2k+1)·θ) after k iterations."""
     theta = _validate_space(N, M)
-    k = check_integer(k, "iteration count")
-    if k < 0:
-        raise ValueError(f"iteration count must be >= 0, got {k}")
+    k = check_count(k, "iteration count", 0)
     if 2 * k + 1 > 2**53:  # the angle's factor would no longer be an exact double
         raise ValueError(f"iteration count {k} is too large for the closed form (max {2**52 - 1})")
     return math.sin((2 * k + 1) * theta) ** 2
@@ -105,24 +102,20 @@ def check_iterations(k: int, n: int) -> int:
     Needs no table, so a caller can check a count before building the
     function. A negative n is left to the arity check, which refuses it.
     """
-    k = check_integer(k, "iteration count")
-    if k > MAX_ITERATIONS:  # before the closed form, which overflows for huge k
-        raise ResourceLimitError(f"{k} iterations exceeds the cap of {MAX_ITERATIONS}")
-    if n >= 0 and k << check_qubits(n) > MAX_AMPLITUDE_UPDATES:
-        raise ResourceLimitError(
-            f"{k << n} amplitude updates ({k} iterations on {n} qubits) "
-            f"exceeds the cap of {MAX_AMPLITUDE_UPDATES}"
-        )
+    k = check_count(k, "iteration count")
+    # before the closed form, which overflows for huge k
+    check_cap(k, MAX_ITERATIONS, f"{k} iterations")
+    if n >= 0:
+        updates = k << check_qubits(n)
+        request = f"{updates} amplitude updates ({k} iterations on {n} qubits)"
+        check_cap(updates, MAX_AMPLITUDE_UPDATES, request)
     return k
 
 
 def _check_shots(shots: int) -> int:
     """shots as a Python int, or ValueError below 0, or ResourceLimitError past MAX_SHOTS."""
-    shots = check_integer(shots, "shot count")
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
-    if shots > MAX_SHOTS:
-        raise ResourceLimitError(f"{shots} shots exceeds the cap of {MAX_SHOTS}")
+    shots = check_count(shots, "shot count", 0, "shots")
+    check_cap(shots, MAX_SHOTS, f"{shots} shots")
     return shots
 
 

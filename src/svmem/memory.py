@@ -23,15 +23,16 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .boolfn import BoolFn
-from .errors import ResourceLimitError, ShapeError
+from .errors import ShapeError
 from .statevec import (
     DEFAULT_SUPPORT_EPS,
     Factor,
     StateVector,
     _readout_norm_squared,
     _subcube,
+    check_cap,
+    check_count,
     check_index,
-    check_integer,
     check_qubits,
     check_tolerance,
 )
@@ -70,12 +71,9 @@ class CapacityReport:
 
 
 def _qubit_count(n: int) -> int:
-    """n as a Python int in 0..CAPACITY_CAP, by the one integer rule."""
-    n = check_integer(n, "qubit count")
-    if n < 0:
-        raise ValueError(f"qubit count must be >= 0, got {n}")
-    if n > CAPACITY_CAP:
-        raise ResourceLimitError(f"capacity of {n} qubits exceeds the cap of {CAPACITY_CAP}")
+    """n as a Python int in 0..CAPACITY_CAP, by the one count rule."""
+    n = check_count(n, "qubit count", 0)
+    check_cap(n, CAPACITY_CAP, f"capacity of {n} qubits")
     return n
 
 
@@ -139,9 +137,7 @@ def capacity_json_text(n: int) -> str:
 
 def enumerate_patterns(n: int) -> Iterator[tuple[Factor, ...]]:
     """All 3^n init patterns, lexicographic with ZERO < ONE < BOTH, for n up to the qubit cap."""
-    n = check_qubits(n)
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got {n}")
+    n = check_qubits(n, 1)
     return itertools.product((Factor.ZERO, Factor.ONE, Factor.BOTH), repeat=n)
 
 

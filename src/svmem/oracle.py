@@ -15,8 +15,8 @@ import re
 import numpy as np
 
 from .boolfn import BoolFn
-from .errors import ResourceLimitError, ShapeError
-from .statevec import DEFAULT_QUBIT_CAP, Factor, StateVector, _subcube
+from .errors import ShapeError
+from .statevec import DEFAULT_QUBIT_CAP, Factor, StateVector, _subcube, check_cap
 
 
 def apply_marking(f: BoolFn, psi: StateVector) -> StateVector:
@@ -60,10 +60,7 @@ def emit_circuit(f: BoolFn) -> str:
         np.uint8,
     )
     size = len(header) + int(np.count_nonzero(f.table)) * template.size
-    if size > MAX_NETLIST_BYTES:
-        raise ResourceLimitError(
-            f"a netlist of {size} bytes exceeds the cap of {MAX_NETLIST_BYTES}"
-        )
+    check_cap(size, MAX_NETLIST_BYTES, f"a netlist of {size} bytes")
     text = np.empty(size, np.uint8)
     text[:len(header)] = np.frombuffer(header, np.uint8)
     lines = text[len(header):].reshape(-1, template.size)

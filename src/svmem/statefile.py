@@ -10,7 +10,9 @@ each distinct pair is parsed once, and the amplitudes are gathered from
 them by index. Its header's n is checked against the qubit cap before
 any pair is read. Any other text, and canonical text refused later (more
 than half distinct, a bracket in a pair, a distinct pair that fails json
-or the pair rule), goes whole to json.loads and StateVector.from_json_dict.
+or the pair rule), goes whole to json.loads and StateVector.from_json_dict,
+unless it holds more commas and opening brackets than a state at the qubit
+cap, 3 * 2^cap + 2: json builds at most one value per such byte, and one more.
 """
 
 from __future__ import annotations
@@ -98,6 +100,9 @@ def _read(data: str | bytes | None, words: tuple | None = None):
     if not isinstance(data, str):
         with io.TextIOWrapper(io.BytesIO(data)) as fh:
             data = fh.read()
+    marks = sum(map(data.count, ",[{"))  # counted before json builds a value
+    cap = 3 * (1 << statevec.DEFAULT_QUBIT_CAP) + 2
+    statevec.check_cap(marks, cap, f"json text with {marks} commas and opening brackets")
     try:
         data = json.loads(data)
     except RecursionError:

@@ -48,24 +48,37 @@ class Factor(Enum):
     BOTH = "B"  # (1 1)
 
 
-def check_integer(value: int, what: str) -> int:
-    """value as a Python int: numpy ints count exactly; a bool, float or str raises TypeError."""
+def check_count(value: int, what: str, least: int | None = None, name: str | None = None) -> int:
+    """The one count rule: value as a Python int, not below least when least is given.
+
+    numpy ints count exactly; a bool, float or str raises TypeError, which
+    what names, and a value below least raises ValueError, which name names
+    (what if None). Every lower bound on a count in the package is written here.
+    """
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
-    return operator.index(value)
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name or what} must be >= {least}, got {value}")
+    return value
 
 
-def check_qubits(n: int) -> int:
-    """n as a Python int, or ResourceLimitError over the cap; call before allocating 2^n."""
-    n = check_integer(n, "qubit count")
-    if n > DEFAULT_QUBIT_CAP:
-        raise ResourceLimitError(f"{n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}")
+def check_cap(size: int, cap: int, request: str) -> None:
+    """ResourceLimitError if size is over cap; request names it. Every size cap is written here."""
+    if size > cap:
+        raise ResourceLimitError(f"{request} exceeds the cap of {cap}")
+
+
+def check_qubits(n: int, least: int = 0, name: str = "qubit count") -> int:
+    """n as a Python int in least..DEFAULT_QUBIT_CAP; call before allocating 2^n."""
+    n = check_count(n, "qubit count", least, name)
+    check_cap(n, DEFAULT_QUBIT_CAP, f"{n} qubits")
     return n
 
 
 def check_index(k: int, n: int, what: str) -> int:
     """k as a Python int, or ValueError unless it indexes the 2^n basis; what names k."""
-    k = check_integer(k, what)
+    k = check_count(k, what)
     if not 0 <= k < (1 << n):
         raise ValueError(f"{what} {k} out of range for {n} qubits (valid: 0..{(1 << n) - 1})")
     return k
@@ -105,8 +118,6 @@ class StateVector:
 
     def __post_init__(self):
         self.n = check_qubits(self.n)
-        if self.n < 0:
-            raise ValueError(f"qubit count must be >= 0, got {self.n}")
         amps = np.asarray(self.amps, dtype=np.complex128)
         if amps.shape != (1 << self.n,):
             raise ValueError(
