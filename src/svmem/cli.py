@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from . import statefile, statevec
 from .boolfn import BoolFn, default_var_names, from_minterms, needle
 from .boolfn import parse as parse_expression
 from .errors import ResourceLimitError, SimulatorError
@@ -21,7 +22,6 @@ from .grover import AUTO, check_iterations, sample_counts
 from .grover import run as grover_run
 from .memory import cam_match, capacity_json_text, ram_read, recognizes
 from .oracle import emit_circuit
-from .statevec import DEFAULT_SUPPORT_EPS, StateVector, encode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tolerance = argparse.ArgumentParser(add_help=False)
     tolerance.add_argument(
-        "--tolerance", type=float, default=DEFAULT_SUPPORT_EPS, metavar="EPS",
+        "--tolerance", type=float, default=statevec.DEFAULT_SUPPORT_EPS, metavar="EPS",
         help="amplitude magnitude below which a bit reads 0 (default 1e-9)",
     )
 
@@ -143,17 +143,17 @@ def _cmd_capacity(args) -> str:
 
 
 def _cmd_encode(args) -> np.ndarray:
-    return encode(args.pattern)._json_bytes(b"\n")  # the state file's bytes
+    return statefile._save(statevec.encode(args.pattern), b"\n")  # the state file's bytes
 
 
 def _cmd_read(args) -> dict:
-    psi = StateVector._load(args.state_file)
+    psi = statefile._load(args.state_file)
     bit, probability = ram_read(psi, args.k, args.tolerance)
     return _with_samples({"bit": bit, "probability": probability}, probability, args)
 
 
 def _cmd_cam(args) -> dict:
-    psi = StateVector._load(args.state_file)
+    psi = statefile._load(args.state_file)
     f = _parse_function_spec(args.function, psi.n)
     probability = cam_match(psi, f)
     payload = {"probability": probability, "recognizes": recognizes(f, psi, args.tolerance)}

@@ -1,4 +1,4 @@
-"""State files: the JSON text a StateVector is saved as, and its one reader.
+"""State files: the JSON text a StateVector is saved as, and the steps that read it.
 
 A state file is {"n": <int>, "amps": [[re, im], ...]}: 2^n pairs in
 basis-index order. The pair rule (`_pair_values`): each pair is a list of
@@ -79,30 +79,28 @@ def _load(path: str):
                 data += chunk
     if max(size, len(data)) > cap:
         raise ResourceLimitError(f"state file {path} exceeds the cap of {cap} bytes")
-    if (words := _canonical_words(data)) is not None:
-        data = None  # the words are copies: free the bytes before the numbering
-    return _read(data, words)
+    if (read := _canonical_words(data)) is None:
+        return _from_json(data)
+    del data  # the words are copies: free the bytes before the numbering
+    return _from_words(read)
 
 
-def _read(data: str | bytes | None, words: tuple | None = None):
-    """The one read flow: the state from canonical words, else from json's reading of data.
+def _read(text: str):
+    """from_json_text: the state from text's canonical words, else from json's reading of text."""
+    # the bytes are freed as _canonical_words returns, before the numbering
+    read = _canonical_words(text.encode("ascii")) if text.isascii() else None
+    return _from_json(text) if read is None else _from_words(read, text)
 
-    data is from_json_text's str, or _load's file bytes, or None with the
-    words _load read from bytes it freed, which a late refusal rebuilds.
-    """
-    if isinstance(data, str) and data.isascii():
-        # the bytes are freed as _canonical_words returns, before the numbering
-        words = _canonical_words(data.encode("ascii"))
-    if words is not None:
-        data = _canonical_amps(words, data)
-        if isinstance(data, tuple):
-            return statevec.StateVector._adopt(*data)
+
+def _from_json(data: str | bytes):
+    """The state in json's reading of a str, or of file bytes decoded as open(path).read() does."""
+    # counted before any decode: no multibyte UTF-8 character holds ",", "[" or "{"
+    marks = sum(map(data.count, ",[{" if isinstance(data, str) else b",[{"))
+    cap = 3 * (1 << statevec.DEFAULT_QUBIT_CAP) + 2
+    statevec.check_cap(marks, cap, f"json text with {marks} commas and opening brackets")
     if not isinstance(data, str):
         with io.TextIOWrapper(io.BytesIO(data)) as fh:
             data = fh.read()
-    marks = sum(map(data.count, ",[{"))  # counted before json builds a value
-    cap = 3 * (1 << statevec.DEFAULT_QUBIT_CAP) + 2
-    statevec.check_cap(marks, cap, f"json text with {marks} commas and opening brackets")
     try:
         data = json.loads(data)
     except RecursionError:
@@ -143,11 +141,10 @@ def _canonical_words(data: bytes) -> tuple[int, list[np.ndarray], bytes, bytes] 
     return None if words is None else (n, words, data[: head.end()], data[stop - 1 :])
 
 
-def _canonical_amps(read: tuple, data=None):
-    """(n, amplitudes) from read = _canonical_words(data), else data for json.
+def _from_words(read: tuple, text: str | None = None):
+    """The state from read = _canonical_words(text or file bytes), else json's reading of them.
 
-    Numbering empties read's words. A refused text is data, or if data is
-    None, is rebuilt from the distinct pieces. A pair not finite raises ValueError.
+    A text refused late goes to json as given, or if None, as the file's bytes rebuilt.
     """
     n, words, head, tail = read
     codes, pieces = _dense_codes(words)
@@ -163,8 +160,10 @@ def _canonical_amps(read: tuple, data=None):
             pass
         else:
             statevec._check_finite(values)  # every distinct pair is some pair's value
-            return n, values[codes]
-    return _joined_pairs(pieces, codes, head, tail) if data is None else data
+            return statevec.StateVector._adopt(n, values[codes])
+    data = _joined_pairs(pieces, codes, head, tail).tobytes() if text is None else text
+    del codes, pieces  # freed before json's parse
+    return _from_json(data)
 
 
 def _piece_words(buf: np.ndarray, start: int, stop: int, pieces: int) -> list[np.ndarray] | None:

@@ -153,21 +153,12 @@ class StateVector:
 
     def to_json_text(self) -> str:
         """json.dumps(self.to_json_dict()), formatting each distinct amplitude pair once."""
-        return str(memoryview(self._json_bytes()), "ascii")
-
-    def _json_bytes(self, end: bytes = b"") -> np.ndarray:
-        """Package-internal: to_json_text's text and then end, as the bytes of one uint8 array."""
-        return statefile._save(self, end)
+        return str(memoryview(statefile._save(self, b"")), "ascii")
 
     @classmethod
     def from_json_text(cls, text: str) -> StateVector:
         """from_json_dict(json.loads(text)), reading canonical text on its distinct pairs."""
         return statefile._read(text)
-
-    @classmethod
-    def _load(cls, path: str) -> StateVector:
-        """Package-internal: from_json_text(open(path).read()), refused past the byte cap."""
-        return statefile._load(path)
 
     @classmethod
     def from_json_dict(cls, data) -> StateVector:

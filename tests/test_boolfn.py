@@ -370,6 +370,7 @@ def test_boolfn_equality_ignores_names():
     assert f == g
     assert hash(f) == hash(g)
     assert f != needle(0, 3)
+    assert (needle(1, 2) == "x") is False  # not a BoolFn: __eq__ declines
 
 
 def test_boolfn_table_is_immutable():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from svmem import statevec
+from svmem import statefile, statevec
 from svmem.boolfn import BoolFn, count_functions, default_var_names, from_minterms, needle, parse
 from svmem.errors import ResourceLimitError
 from svmem.grover import (
@@ -184,9 +184,9 @@ def test_a_json_text_over_the_value_bound_exits_2_unparsed(
     outcome, peak = traced_peak(lambda: refusal(StateVector.from_json_text, text))
     assert outcome == (ResourceLimitError, message)
     assert peak <= 1.1 * len(text)  # the text's bytes, tried on the byte route
-    outcome, peak = traced_peak(lambda: refusal(StateVector._load, str(path)))
+    outcome, peak = traced_peak(lambda: refusal(statefile._load, str(path)))
     assert outcome == (ResourceLimitError, message)
-    assert peak <= 2.1 * len(text)  # the file's bytes and their decoded text
+    assert peak <= 1.1 * len(text)  # the file's bytes, counted before any decode
     code, out, _ = run_cli(["read", str(path), "0"])
     assert json_spy == []
     assert code == 2
@@ -200,7 +200,7 @@ def test_a_json_text_at_the_value_bound_loads(json_spy, tmp_path):
     path = tmp_path / "state.json"
     path.write_text(text)
     expected = np.tile(np.array([0.5, 0.25 - 1j]), 1 << JSON_CAP - 1)
-    for psi in (StateVector._load(str(path)), StateVector.from_json_text(text)):
+    for psi in (statefile._load(str(path)), StateVector.from_json_text(text)):
         assert psi.n == JSON_CAP
         assert np.array_equal(psi.amps, expected)
     assert json_spy == [text, text]

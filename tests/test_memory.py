@@ -207,6 +207,8 @@ def test_pattern_for_rejects_or_declines_edge_words():
         pattern_for([1, 0, 0])
     with pytest.raises(ValueError, match="0 or 1"):
         pattern_for([2, 0])
+    with pytest.raises(ValueError, match="flat bit vector"):
+        pattern_for([[1, 0], [0, 0]])
 
 
 def test_pattern_for_roundtrip_exhaustive():

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -532,6 +533,14 @@ def load_outcome(loader, data):
     return psi.n, psi.amps.dtype, psi.amps.tobytes()
 
 
+def rebuilt_for_json(data):
+    """What the byte route hands json for data's canonical words, the file's bytes freed."""
+    seen = []
+    with mock.patch.object(statefile, "_from_json", seen.append):
+        statefile._from_words(statefile._canonical_words(data))
+    return seen[0]
+
+
 GOOD_NUMBERS = st.one_of(
     st.integers(),
     st.integers(min_value=2**63, max_value=2**1100),
@@ -643,7 +652,7 @@ def test_state_file_round_trip_is_byte_identical_at_n18(run_cli, tmp_path, monke
         with open(path) as fh:
             return reference_from_json_text(fh.read())
 
-    monkeypatch.setattr(StateVector, "_load", staticmethod(reference_load))
+    monkeypatch.setattr(statefile, "_load", reference_load)
     assert [run_cli(argv) for argv in commands] == outputs
     assert loads == [state, state]  # the reference really did the loading
 
@@ -814,7 +823,7 @@ def test_state_file_edge_cases_load_as_their_text_does(text, outcome, tmp_path):
     path = tmp_path / "state.json"
     path.write_bytes(text.encode("utf-8"))
     expected = load_outcome(reference_from_json_text, path.read_text())
-    assert load_outcome(StateVector._load, str(path)) == expected
+    assert load_outcome(statefile._load, str(path)) == expected
 
 
 def encoded_file():
@@ -950,8 +959,7 @@ def test_a_bracket_in_any_one_piece_sends_the_text_to_json(n, pool, seed, at, br
     column = at % len(piece)
     pieces[at % len(pieces)] = piece[:column] + bracket + piece[column + 1 :]
     text = canonical_text(n, pieces)[: None if newline else -1]
-    refused = statefile._canonical_amps(statefile._canonical_words(text.encode("ascii")))
-    assert refused.tobytes() == text.encode("ascii")  # rebuilt for json
+    assert rebuilt_for_json(text.encode("ascii")) == text.encode("ascii")
     assert load_outcome(StateVector.from_json_text, text) == load_outcome(
         reference_from_json_text, text)
 
@@ -961,8 +969,7 @@ def test_a_piece_that_holds_two_pairs_sends_the_text_to_json(n, piece):
     # all pieces alike and of one width, each the text of two pairs: read
     # as one distinct piece it would parse, so only its bracket refuses it
     text = canonical_text(n, [piece] * (1 << n))
-    refused = statefile._canonical_amps(statefile._canonical_words(text.encode("ascii")))
-    assert refused.tobytes() == text.encode("ascii")  # rebuilt for json
+    assert rebuilt_for_json(text.encode("ascii")) == text.encode("ascii")
     expected = load_outcome(reference_from_json_text, text)
     assert expected == (ValueError, f"expected {1 << n} amplitude pairs for n={n}")
     assert load_outcome(StateVector.from_json_text, text) == expected
@@ -991,7 +998,7 @@ def test_a_late_refused_text_goes_to_json_as_given(pieces, tmp_path, monkeypatch
     expected = load_outcome(reference_from_json_text, text)
     assert load_outcome(StateVector.from_json_text, text) == expected
     assert rebuilt == []
-    assert load_outcome(StateVector._load, str(path)) == expected
+    assert load_outcome(statefile._load, str(path)) == expected
     assert rebuilt == [16]
 
 
@@ -1010,8 +1017,8 @@ def test_load_frees_the_file_bytes_before_numbering(tmp_path):
     # they are not live beside the codes and the 16 MiB state
     psi = encode("BOZB" + "B" * 16)
     path = tmp_path / "state.json"
-    path.write_bytes(psi._json_bytes(b"\n"))
-    loaded, peak = traced_peak(lambda: StateVector._load(str(path)))
+    path.write_bytes(statefile._save(psi, b"\n"))
+    loaded, peak = traced_peak(lambda: statefile._load(str(path)))
     assert loaded.amps.tobytes() == psi.amps.tobytes()
     assert peak <= 1.7 * psi.amps.nbytes
 
@@ -1026,7 +1033,7 @@ def test_an_over_cap_state_file_is_refused_at_its_head(tmp_path, monkeypatch):
     seen, loads = [], json.loads
     monkeypatch.setattr(json, "loads", lambda text: seen.append(text) or loads(text))
     expected = (ResourceLimitError, "16 qubits exceeds the cap of 15")
-    outcome, peak = traced_peak(lambda: load_outcome(StateVector._load, str(path)))
+    outcome, peak = traced_peak(lambda: load_outcome(statefile._load, str(path)))
     assert outcome == expected
     assert peak <= 1.1 * len(text)
     assert load_outcome(StateVector.from_json_text, text) == expected
@@ -1047,12 +1054,11 @@ def test_a_file_of_two_word_pieces_loads_in_about_one_state(pieces, bound):
     # second is numbered beside the first one's codes
     pick = np.random.default_rng(20).integers(2, size=1 << 20).astype(bool)
     data = canonical_text(20, np.where(pick, *pieces)).encode("ascii")
-    (n, amps), peak = traced_peak(
-        lambda: statefile._canonical_amps(statefile._canonical_words(data)))
+    psi, peak = traced_peak(lambda: statefile._from_words(statefile._canonical_words(data)))
     values = [complex(*json.loads(f"[{piece}]")) for piece in pieces]
-    assert n == 20
-    assert amps.tobytes() == np.where(pick, *values).tobytes()
-    assert peak <= bound * amps.nbytes
+    assert psi.n == 20
+    assert psi.amps.tobytes() == np.where(pick, *values).tobytes()
+    assert peak <= bound * psi.amps.nbytes
 
 
 def test_an_encoded_state_saves_in_about_one_state():
