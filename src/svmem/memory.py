@@ -103,15 +103,8 @@ def capacity_json_text(n: int) -> str:
     n = _qubit_count(n)
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
     exact.traps[decimal.Inexact] = exact.traps[decimal.Rounded] = True
-
-    def quotient(x: decimal.Decimal, d: int) -> decimal.Decimal:
-        # divmod, not divide: an exact divide at MAX_PREC first fails at
-        # full precision and then retries, which costs about twice as much
-        q, r = exact.divmod(x, d)
-        if r:
-            raise decimal.Inexact(f"a capacity term does not divide by {d}")
-        return q
-
+    # divmod, not divide: an exact divide at MAX_PREC first fails at full
+    # precision and then retries, which costs about twice as much
     codes = product = exact.power(2, n)
     choose = decimal.Decimal(1)
     lower = []  # texts of C(n, i) for 2i < n, popped as C(n, n-i)
@@ -121,7 +114,9 @@ def capacity_json_text(n: int) -> str:
             choose_text = str(choose)
             if 2 * i < n:
                 lower.append(choose_text)
-            choose = quotient(exact.multiply(choose, n - i), i + 1)
+            choose, rest = exact.divmod(exact.multiply(choose, n - i), i + 1)
+            if rest:
+                raise decimal.Inexact("a capacity term does not divide exactly")
         else:
             choose_text = lower.pop()
         parts.append(
@@ -129,8 +124,10 @@ def capacity_json_text(n: int) -> str:
             f'"codes": {codes!s}, "product": {product!s}}}'
         )
         if i < n:
-            codes = quotient(codes, 2)
-            product = quotient(exact.multiply(product, n - i), 2 * (i + 1))
+            codes, rest = exact.divmod(codes, 2)
+            product, more = exact.divmod(exact.multiply(product, n - i), 2 * (i + 1))
+            if rest or more:
+                raise decimal.Inexact("a capacity term does not divide exactly")
     parts.append(f'], "total": "{3**n}"}}')
     return "".join(parts)
 

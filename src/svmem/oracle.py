@@ -4,8 +4,9 @@ The marking form works on n+1 qubits with the auxiliary as the LEAST
 significant bit and sends |x, q> to |x, q XOR f(x)>; the phase form stays
 on n qubits and flips the sign of marked amplitudes. Both are masks of the
 truth table (O(2^n)), never the 2^n x 2^n matrix. The netlist emitter writes
-one multi-controlled X per minterm; replay swaps the (input, aux) pair rows
-in each gate's subcube, built from its controls, never from a truth table.
+one multi-controlled X per minterm; replay swaps, in place on one copy of
+the state, the (input, aux) pair rows in each gate's subcube, built from its
+controls as a 2^n-byte mask, never from a truth table.
 """
 
 from __future__ import annotations
@@ -92,6 +93,10 @@ def replay_circuit(text: str, psi: StateVector) -> StateVector:
 
     Independent of apply_marking on purpose: each mcx swaps the (input, aux)
     pair rows in the subcube its controls pick, never read from a truth table.
+    The swap is in place on one copy of the state, so replay holds that copy,
+    a 2^n-byte mask and the rows the gate selects. Its cost grows with those
+    rows: a gate with few controls selects many and is slower than one
+    whose controls fix most qubits.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("qubits "):
@@ -117,5 +122,6 @@ def replay_circuit(text: str, psi: StateVector) -> StateVector:
             want = Factor.ONE if polarity == "+" else Factor.ZERO
             factors[q] = want if factors[q] in (Factor.BOTH, want) else None
         if None not in factors:
-            pairs = np.where(_subcube(factors, bool)[:, None], pairs[:, ::-1], pairs)
+            mask = _subcube(factors, bool)
+            pairs[mask] = pairs[mask, ::-1]
     return StateVector._adopt(total, pairs.reshape(-1))

@@ -80,7 +80,12 @@ def _load(path: str):
     if max(size, len(data)) > cap:
         raise ResourceLimitError(f"state file {path} exceeds the cap of {cap} bytes")
     if (read := _canonical_words(data)) is None:
-        return _from_json(data)
+        # each step rebinds data, so the bytes are freed before the parse and
+        # the text before the pair rule; from_json_dict is called through
+        # the class, so that a wrapper put there sees the call
+        data = _json_text(data)
+        data = _json_value(data)
+        return statevec.StateVector.from_json_dict(data)
     del data  # the words are copies: free the bytes before the numbering
     return _from_words(read)
 
@@ -89,24 +94,29 @@ def _read(text: str):
     """from_json_text: the state from text's canonical words, else from json's reading of text."""
     # the bytes are freed as _canonical_words returns, before the numbering
     read = _canonical_words(text.encode("ascii")) if text.isascii() else None
-    return _from_json(text) if read is None else _from_words(read, text)
+    if read is None:
+        return statevec.StateVector.from_json_dict(_json_value(_json_text(text)))
+    return _from_words(read, text)
 
 
-def _from_json(data: str | bytes):
-    """The state in json's reading of a str, or of file bytes decoded as open(path).read() does."""
+def _json_text(data: str | bytes) -> str:
+    """data under the value bound, as a str: file bytes decoded as open(path).read() does."""
     # counted before any decode: no multibyte UTF-8 character holds ",", "[" or "{"
     marks = sum(map(data.count, ",[{" if isinstance(data, str) else b",[{"))
     cap = 3 * (1 << statevec.DEFAULT_QUBIT_CAP) + 2
     statevec.check_cap(marks, cap, f"json text with {marks} commas and opening brackets")
-    if not isinstance(data, str):
-        with io.TextIOWrapper(io.BytesIO(data)) as fh:
-            data = fh.read()
+    if isinstance(data, str):
+        return data
+    with io.TextIOWrapper(io.BytesIO(data)) as fh:
+        return fh.read()
+
+
+def _json_value(text: str):
+    """json.loads(text), with a text nested too deeply for the parser as a ValueError."""
     try:
-        data = json.loads(data)
+        return json.loads(text)
     except RecursionError:
         raise ValueError("state file nests too deeply") from None
-    # through the class, so that a wrapper put there sees the call
-    return statevec.StateVector.from_json_dict(data)
 
 
 def _from_dict(data):
@@ -163,7 +173,9 @@ def _from_words(read: tuple, text: str | None = None):
             return statevec.StateVector._adopt(n, values[codes])
     data = _joined_pairs(pieces, codes, head, tail).tobytes() if text is None else text
     del codes, pieces  # freed before json's parse
-    return _from_json(data)
+    data = _json_text(data)  # as in _load, each step frees the one before
+    data = _json_value(data)
+    return statevec.StateVector.from_json_dict(data)
 
 
 def _piece_words(buf: np.ndarray, start: int, stop: int, pieces: int) -> list[np.ndarray] | None:

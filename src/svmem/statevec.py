@@ -204,9 +204,18 @@ def kron(a: StateVector, b: StateVector) -> StateVector:
     return StateVector._adopt(a.n + b.n, amps)
 
 
+# Amplitudes per np.vdot in norm_squared: OpenBLAS runs a dot product of
+# at most 10000 elements on one thread, so each chunk's sum, and their sum
+# in order, is the same on any BLAS thread count.
+_NORM_CHUNK = 8192
+
+
 def norm_squared(psi: StateVector) -> float:
-    """Sum of squared amplitude magnitudes."""
-    return float(np.real(np.vdot(psi.amps, psi.amps)))
+    """Sum of squared amplitude magnitudes, the same bits on any BLAS thread count."""
+    amps = psi.amps
+    chunks = (amps[k:k + _NORM_CHUNK] for k in range(0, amps.size, _NORM_CHUNK))
+    # Python floats, which overflow to inf with no numpy warning
+    return sum(float(np.vdot(chunk, chunk).real) for chunk in chunks)
 
 
 def support(psi: StateVector, eps: float = DEFAULT_SUPPORT_EPS) -> set[int]:

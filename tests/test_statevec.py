@@ -3,6 +3,9 @@
 import copy
 import itertools
 import json
+import os
+import subprocess
+import sys
 from functools import reduce
 from unittest import mock
 
@@ -188,6 +191,32 @@ def test_norm_squared_values(zzb_state):
     assert norm_squared(vec(1, 1, 1, 1)) == 4.0
 
 
+_NORM_BITS = """
+import numpy as np
+from svmem.statevec import StateVector, norm_squared
+for n in range(13, 19):
+    rng = np.random.default_rng(n)
+    psi = StateVector(n, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+    print(n, norm_squared(psi).hex())
+"""
+
+
+def test_norm_squared_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS threads a dot product of more than about 10000 elements:
+    # one np.vdot over the whole state gave other bits on two threads than
+    # on one at n = 14, 15, 16 and 18 (2-core host)
+    def bits(threads):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": str(threads)}
+        done = subprocess.run([sys.executable, "-c", _NORM_BITS], capture_output=True,
+                              env=env, timeout=120, check=True, text=True)
+        return done.stdout
+
+    one = bits(1)
+    assert one.count("\n") == 6
+    assert bits(2) == one
+
+
 def test_support_values(zzb_state):
     assert support(zzb_state, 1e-9) == {0, 1}
     assert support(vec(0, 0)) == set()
@@ -222,6 +251,11 @@ def test_probabilities_rejects_zero_state():
         probabilities(vec(0, 0, 0, 0))
     with pytest.raises(ValueError, match="^the squared norm of the state overflows a double$"):
         probabilities(vec(1e308, 1e308))
+    # two blocks of the sum, each finite, whose total overflows
+    amps = np.zeros(1 << 14, complex)
+    amps[[0, -1]] = 1e154
+    with pytest.raises(ValueError, match="^the squared norm of the state overflows a double$"):
+        probabilities(StateVector(14, amps))
 
 
 # --- StateVector validation and JSON -----------------------------------------
@@ -535,9 +569,9 @@ def load_outcome(loader, data):
 
 def rebuilt_for_json(data):
     """What the byte route hands json for data's canonical words, the file's bytes freed."""
-    seen = []
-    with mock.patch.object(statefile, "_from_json", seen.append):
-        statefile._from_words(statefile._canonical_words(data))
+    seen, json_text = [], statefile._json_text
+    with mock.patch.object(statefile, "_json_text", lambda data: seen.append(data) or json_text(data)):
+        load_outcome(statefile._from_words, statefile._canonical_words(data))
     return seen[0]
 
 
@@ -1021,6 +1055,28 @@ def test_load_frees_the_file_bytes_before_numbering(tmp_path):
     loaded, peak = traced_peak(lambda: statefile._load(str(path)))
     assert loaded.amps.tobytes() == psi.amps.tobytes()
     assert peak <= 1.7 * psi.amps.nbytes
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"n": 16, "amps": [[0.5, 0.0], [0.25, -1.0]] * (1 << 15)}, separators=(",", ":")),
+    canonical_text(16, [f"0.{k:05d}, 0.0" for k in range(1 << 16)]),
+], ids=["compact", "all distinct"])
+def test_load_holds_no_file_bytes_through_the_json_parse(text, tmp_path):
+    # a compact file (721 kB) goes to json at once, a canonical one of
+    # distinct pairs (1 MB) once its pieces are numbered, its bytes then
+    # rebuilt: the bytes are freed once decoded and the text once parsed,
+    # so _load holds no more than from_json_text beside its caller's text
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    expected = load_outcome(reference_from_json_text, text)
+    peaks = []
+    for load, source in ((statefile._load, str(path)), (StateVector.from_json_text, text)):
+        load(source)  # first calls fill caches the peaks should not count
+        psi, peak = traced_peak(lambda: load(source))
+        assert (psi.n, psi.amps.dtype, psi.amps.tobytes()) == expected
+        peaks.append(peak)
+    # a margin for the few fixed-size objects _load holds, such as its closed file
+    assert peaks[0] <= peaks[1] + 0.01 * len(text)
 
 
 def test_an_over_cap_state_file_is_refused_at_its_head(tmp_path, monkeypatch):
