@@ -119,9 +119,15 @@ def _check_shots(shots: int) -> int:
     return shots
 
 
+def _check_seed(seed: int | None) -> int | None:
+    """seed as a Python int or None, or TypeError for a non-integer, or ValueError below 0."""
+    return None if seed is None else check_count(seed, "seed", 0)
+
+
 def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> dict[int, int]:
     """Inverse-CDF draws from an exact distribution; returns index -> count."""
     shots = _check_shots(shots)
+    seed = _check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(probs)
     counts: Counter[int] = Counter()
@@ -182,6 +188,7 @@ def run(
     k = check_iterations(iterations, f.n)
     predicted = predicted_success(size, marked, k)  # checks M and k before allocating
     shots = _check_shots(shots)  # before the search, which sampling follows
+    seed = _check_seed(seed)  # the report prints it, with or without shots
 
     psi = uniform_state(f.n)
     for _ in range(k):

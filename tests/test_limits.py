@@ -3,7 +3,7 @@
 One count rule (`statevec.check_count`) writes every lower-bound ValueError
 and one cap check (`statevec.check_cap`) every over-cap ResourceLimitError;
 the table pins each entry point's message one value below its bound and one
-past its cap.
+past its cap, and a seed that is not an integer by its TypeError.
 """
 
 import json
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from svmem import statefile, statevec
+from svmem import grover, statefile, statevec
 from svmem.boolfn import BoolFn, count_functions, default_var_names, from_minterms, needle, parse
 from svmem.errors import ResourceLimitError
 from svmem.grover import (
@@ -26,7 +26,7 @@ from svmem.grover import (
     uniform_state,
 )
 from svmem.memory import CAPACITY_CAP, capacity, capacity_json_text, enumerate_patterns
-from svmem.oracle import MAX_NETLIST_BYTES, emit_circuit
+from svmem.oracle import MAX_NETLIST_BYTES, apply_phase, emit_circuit
 from svmem.statevec import DEFAULT_QUBIT_CAP, StateVector, encode, kron
 
 PAST = DEFAULT_QUBIT_CAP + 1
@@ -80,6 +80,25 @@ BOUNDED_ENTRY_POINTS = {
         lambda: run(needle(5, 3), seed=1, shots=MAX_SHOTS + 1),
         ResourceLimitError,
         f"{MAX_SHOTS + 1} shots exceeds the cap of {MAX_SHOTS}",
+    ),
+    "run seed below": (
+        lambda: run(needle(5, 3), seed=-1, shots=1), ValueError, "seed must be >= 0, got -1"
+    ),
+    # the report prints the seed, so it is checked without shots too
+    "run seed below, no shots": (
+        lambda: run(needle(5, 3), seed=-5), ValueError, "seed must be >= 0, got -5"
+    ),
+    "run seed bool": (
+        lambda: run(needle(1, 3), seed=True, shots=2), TypeError, "seed must be an integer, got bool"
+    ),
+    "run seed float": (
+        lambda: run(needle(1, 3), seed=2.5, shots=2), TypeError, "seed must be an integer, got float"
+    ),
+    "sample_counts seed below": (
+        lambda: sample_counts(np.ones(1), 1, -1), ValueError, "seed must be >= 0, got -1"
+    ),
+    "sample_counts seed float": (
+        lambda: sample_counts(np.ones(1), 1, 2.5), TypeError, "seed must be an integer, got float"
     ),
     "sample_counts below": (
         lambda: sample_counts(np.ones(1), -1, 1), ValueError, "shots must be >= 0, got -1"
@@ -135,6 +154,20 @@ def test_each_bound_raises_its_one_message(entry):
         call()
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+def test_a_refused_seed_runs_no_search(monkeypatch, run_cli):
+    calls = []
+    monkeypatch.setattr(grover, "apply_phase", lambda f, psi: calls.append(f) or apply_phase(f, psi))
+    for seed in (-1, True, 2.5):
+        with pytest.raises((ValueError, TypeError), match="^seed must be"):
+            run(needle(0, 18), seed=seed, shots=1)
+    code, out, _ = run_cli(["grover", "needle:0", "-n", "18", "--seed", "-1", "--shots", "1"])
+    assert code == 1
+    assert json.loads(out) == {"status": "error", "error_message": "seed must be >= 0, got -1"}
+    assert calls == []
+    assert run(needle(0, 4), seed=np.uint64(1), shots=1).to_json_dict()["seed"] == 1
+    assert len(calls) == 3  # the optimum for one marked state in 16
 
 
 # --- the json route's value bound ---------------------------------------------------
