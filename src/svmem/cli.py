@@ -18,7 +18,7 @@ from . import statefile, statevec
 from .boolfn import BoolFn, default_var_names, from_minterms, needle
 from .boolfn import parse as parse_expression
 from .errors import ResourceLimitError, SimulatorError
-from .grover import AUTO, check_iterations, sample_counts
+from .grover import AUTO, _check_seed, _check_shots, check_iterations, sample_counts
 from .grover import run as grover_run
 from .memory import cam_match, capacity_json_text, ram_read, recognizes
 from .oracle import emit_circuit
@@ -161,9 +161,10 @@ def _cmd_cam(args) -> dict:
 
 
 def _cmd_grover(args) -> dict:
-    iters: int | str = AUTO if args.iters.lower() == AUTO else int(args.iters)
-    if iters != AUTO:
-        check_iterations(iters, args.n)  # before the function's 2^n table is built
+    # every count is checked before the function's 2^n table is built
+    iters = AUTO if args.iters.lower() == AUTO else check_iterations(int(args.iters), args.n)
+    _check_shots(args.shots)
+    _check_seed(args.seed)
     f = _parse_function_spec(args.function, args.n)
     report = grover_run(f, iterations=iters, seed=args.seed, shots=args.shots)
     return report.to_json_dict()

@@ -97,12 +97,13 @@ def predicted_success(N: int, M: int, k: int) -> float:
 
 
 def check_iterations(k: int, n: int) -> int:
-    """k as a Python int, or ResourceLimitError past MAX_ITERATIONS or past MAX_AMPLITUDE_UPDATES.
+    """k as a Python int, or ValueError below 0, or ResourceLimitError past a Grover cap.
 
-    Needs no table, so a caller can check a count before building the
-    function. A negative n is left to the arity check, which refuses it.
+    The caps are MAX_ITERATIONS and MAX_AMPLITUDE_UPDATES. Needs no table,
+    so a caller can check a count before building the function. A negative
+    n is left to the arity check, which refuses it.
     """
-    k = check_count(k, "iteration count")
+    k = check_count(k, "iteration count", 0)
     # before the closed form, which overflows for huge k
     check_cap(k, MAX_ITERATIONS, f"{k} iterations")
     if n >= 0:
@@ -192,7 +193,9 @@ def run(
 
     psi = uniform_state(f.n)
     for _ in range(k):
-        psi = diffusion(apply_phase(f, psi))
+        # rebound before diffusion, so at most two states are alive at once
+        psi = apply_phase(f, psi)
+        psi = diffusion(psi)
     probs = probabilities(psi)
     simulated = float(probs[f.table].sum())
     samples = sample_counts(probs, shots, seed) if shots else {}

@@ -4,12 +4,11 @@ The marking form works on n+1 qubits with the auxiliary as the LEAST
 significant bit and sends |x, q> to |x, q XOR f(x)>; the phase form stays
 on n qubits and flips the sign of marked amplitudes. Both read the truth
 table (O(2^n)), never the 2^n x 2^n matrix: the marking form as a mask, the
-phase form as the marked indices of one block of 2^16 entries at a time,
-negated in a copy of the state that leaves every unmarked amplitude's bytes
-as they were. The netlist emitter writes one multi-controlled X per minterm;
-replay swaps, in place on one copy of the state, the (input, aux) pair rows
-in each gate's subcube, built from its controls as a 2^n-byte mask, never
-from a truth table.
+phase form as the mask of one multiply by -1 on a copy of the state, which
+leaves every unmarked amplitude's bytes as they were. The netlist emitter
+writes one multi-controlled X per minterm; replay swaps, in place on one
+copy of the state, the (input, aux) pair rows in each gate's subcube, built
+from its controls as a 2^n-byte mask, never from a truth table.
 """
 
 from __future__ import annotations
@@ -34,24 +33,18 @@ def apply_marking(f: BoolFn, psi: StateVector) -> StateVector:
     return StateVector._adopt(psi.n, np.where(f.table[:, None], pairs[:, ::-1], pairs).reshape(-1))
 
 
-# apply_phase gathers the marked amplitudes of at most 2^16 table entries at a time
-_PHASE_BLOCK = 1 << 16
-
-
 def apply_phase(f: BoolFn, psi: StateVector) -> StateVector:
     """amps[x] -> (-1)^f(x) * amps[x]; diagonal with entries ±1.
 
     Copies the state once, then multiplies each marked amplitude by -1 in
-    complex128, one block of table entries at a time, so the index and
-    gather temporaries stay within a block. Unmarked amplitudes keep their
-    bytes bit for bit, signed zeros included, and no sign vector is built.
+    complex128 in that copy, masked by the truth table: no index, gather or
+    sign array is built. Unmarked amplitudes keep their bytes bit for bit,
+    signed zeros included.
     """
     if psi.n != f.n:
         raise ShapeError(f"phase oracle on {f.n} inputs got a {psi.n}-qubit state")
     amps = psi.amps.copy()
-    for start in range(0, amps.size, _PHASE_BLOCK):
-        block = amps[start:start + _PHASE_BLOCK]
-        block[np.flatnonzero(f.table[start:start + _PHASE_BLOCK])] *= -1
+    np.multiply(amps, -1, out=amps, where=f.table)
     return StateVector._adopt(psi.n, amps)
 
 

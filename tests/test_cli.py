@@ -889,6 +889,25 @@ def test_over_cap_request_exits_2_unallocated(run_cli, tmp_path, limit):
     assert peak < (1 << 20) + built
 
 
+# a count below its least value: (flags, error message)
+NEGATIVE_COUNTS = {
+    "iterations": (["--iters", "-1"], "iteration count must be >= 0, got -1"),
+    "shots": (["--shots", "-1"], "shots must be >= 0, got -1"),
+    "seed": (["--seed", "-3"], "seed must be >= 0, got -3"),
+}
+
+
+@pytest.mark.parametrize("count", list(NEGATIVE_COUNTS))
+def test_negative_count_exits_1_unallocated(run_cli, count):
+    # refused before the function's 2^22-entry table is built
+    flags, message = NEGATIVE_COUNTS[count]
+    (code, out, err), peak = traced_peak(lambda: run_cli(["grover", "needle:7", "-n", "22", *flags]))
+    assert code == 1
+    assert _json(out) == {"status": "error", "error_message": message}
+    assert err.startswith("svmem: error:")
+    assert peak < 1 << 20
+
+
 def test_a_file_without_a_size_is_read_in_chunks_up_to_the_cap(run_cli, monkeypatch):
     # a device reports size 0 and never ends; it is refused once it passes the cap
     cap = 3 << 20

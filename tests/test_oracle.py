@@ -159,18 +159,19 @@ def test_phase_negates_the_marked_amplitudes_and_keeps_the_rest_bit_for_bit(case
     np.testing.assert_array_equal(apply_phase(f, apply_phase(f, psi)).amps, psi.amps)
 
 
-@pytest.mark.parametrize("marked, bound", [(1, 1.05), (1 << 17, 1.45), (1 << 18, 1.45)],
-                         ids=["needle", "half marked", "all marked"])
-def test_phase_holds_one_copy_of_the_state_and_one_block(marked, bound):
-    # the copy, plus one block's marked indices and gathered amplitudes
-    # (measured 1.000x, 1.188x and 1.375x; no sign vector)
-    rng = np.random.default_rng(18)
-    table = np.zeros(1 << 18, bool)
-    table[rng.choice(1 << 18, marked, replace=False)] = True
-    f, psi = BoolFn(18, table), _random_state(rng, 18)
+@pytest.mark.parametrize("n", [12, 16, 18])
+@pytest.mark.parametrize("share", ["needle", "half marked", "all marked"])
+def test_phase_holds_one_copy_of_the_state(share, n):
+    # the copy alone: the table masks the multiply, so no index, gather or
+    # sign array is built (measured at most 1.025x, at n=12, in 5 runs)
+    rng = np.random.default_rng(n)
+    marked = {"needle": 1, "half marked": 1 << (n - 1), "all marked": 1 << n}[share]
+    table = np.zeros(1 << n, bool)
+    table[rng.choice(1 << n, marked, replace=False)] = True
+    f, psi = BoolFn(n, table), _random_state(rng, n)
     out, peak = traced_peak(lambda: apply_phase(f, psi))
     np.testing.assert_array_equal(out.amps, np.where(table, -psi.amps, psi.amps))
-    assert peak <= bound * psi.amps.nbytes
+    assert peak <= 1.05 * psi.amps.nbytes
 
 
 def test_phase_equals_marking_with_minus_aux():
