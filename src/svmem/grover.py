@@ -79,12 +79,12 @@ def _validate_space(N: int, M: int) -> float:
 def optimal_iterations(N: int, M: int) -> int:
     """Iteration count closest to the first success peak.
 
-    round(pi/(4θ) - 1/2) with ties rounded up; this maximizes
-    sin^2((2k+1)·θ) over the first oscillation arch.
+    floor(pi/(4θ)), the k whose angle (2k+1)·θ lies nearest pi/2, maximizes
+    sin^2((2k+1)·θ) over the first arch. At the one tie, M = N/2, k = 0 and
+    k = 1 both succeed with 1/2; asin(sqrt(1/2)) is one ulp above pi/4, so k is 0.
     """
     theta = _validate_space(N, M)
-    raw = math.pi / (4.0 * theta) - 0.5
-    return max(0, math.floor(raw + 0.5))
+    return math.floor(math.pi / (4.0 * theta))
 
 
 def predicted_success(N: int, M: int, k: int) -> float:

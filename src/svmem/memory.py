@@ -29,7 +29,6 @@ from .statevec import (
     Factor,
     StateVector,
     _readout_norm_squared,
-    _subcube,
     check_cap,
     check_count,
     check_index,
@@ -162,8 +161,8 @@ def pattern_for(word: Sequence[int] | np.ndarray) -> tuple[Factor, ...] | None:
     for q in range(n):  # which of its two values qubit q takes in the set bits
         zero, one = (half.any() for half in np.moveaxis(grid, q, 0))
         factors.append(Factor.BOTH if zero and one else Factor.ONE if one else Factor.ZERO)
-    # per-qubit values are not enough: the set bits must fill the whole subcube
-    if not np.array_equal(grid.reshape(-1), _subcube(factors, bool)):
+    # the set bits lie in the cube of their qubits' values: they fill it iff 2^free of them
+    if np.count_nonzero(grid) != 1 << factors.count(Factor.BOTH):
         return None
     return tuple(factors)
 

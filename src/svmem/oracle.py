@@ -50,8 +50,8 @@ def apply_phase(f: BoolFn, psi: StateVector) -> StateVector:
 
 # Longest netlist text emit_circuit builds: the complex128 bytes at the qubit cap.
 MAX_NETLIST_BYTES = 16 << DEFAULT_QUBIT_CAP
-# emit_circuit lists the minterms of at most 2^16 table entries at a time
-_EMIT_CHUNK_QUBITS = 16
+# emit_circuit writes the lines of at most 2^12 minterms at a time
+_EMIT_CHUNK = 1 << 12
 _SIGNS = np.frombuffer(b"-+", np.uint8)  # a control's polarity byte, by qubit value
 
 
@@ -76,18 +76,13 @@ def emit_circuit(f: BoolFn) -> str:
     lines = text[len(header):].reshape(-1, template.size)
     lines[:] = template
     sign_column = np.flatnonzero(template == ord("+"))  # qubit q's polarity byte
-    # the minterms ascend: one block of lines per value of the leading qubits,
-    # in order, each listing the qubit values of the rest, qubit 0 first
-    lead = max(0, f.n - _EMIT_CHUNK_QUBITS)
-    grid = f.table.reshape((2,) * f.n)
-    row = 0
-    for prefix in np.ndindex((2,) * lead):
-        values = np.argwhere(grid[prefix])
-        block = lines[row:row + len(values)]
-        block[:, sign_column[:lead]] = _SIGNS[list(prefix)]
-        block[:, sign_column[lead:]] = _SIGNS[values]
-        row += len(values)
-    del values  # freed before the one decode
+    minterms = np.flatnonzero(f.table)  # ascending, one line each
+    for start in range(0, len(minterms), _EMIT_CHUNK):
+        # C order on (2,)*n axes: axis q is qubit q, qubit 0 the most significant bit
+        qubits = np.unravel_index(minterms[start:start + _EMIT_CHUNK], (2,) * f.n)
+        for q, values in enumerate(qubits):
+            lines[start:start + len(values), sign_column[q]] = _SIGNS[values]
+    del minterms  # freed before the one decode
     return str(memoryview(text), "ascii")
 
 

@@ -68,6 +68,9 @@ def test_optimal_iterations_values():
     for N in (1, 2, 4, 1024):
         assert optimal_iterations(N, N) == 0
     assert optimal_iterations(1024, 1) == 25
+    # M = N/2: k = 0 and k = 1 tie at success 1/2, and the rule gives 0
+    assert optimal_iterations(4, 2) == 0
+    assert optimal_iterations(2**18, 2**17) == 0
 
 
 def test_optimal_iterations_errors():

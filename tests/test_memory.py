@@ -144,6 +144,7 @@ def test_capacity_routes_share_their_limits(count):
 @example(1201)
 def test_capacity_json_text_is_the_json_report(n):
     assert capacity_json_text(n) == json.dumps(capacity(n).to_json_dict())
+    assert capacity(n).total == 3**n
 
 
 def test_capacity_json_text_at_the_cap_in_about_two_texts():

@@ -245,6 +245,10 @@ def reference_emit(f):
     (1, {1}), (3, set(range(8))), (10, {0, 5, 512, 1023}),
     (17, {0, 1, 65535, 65536, 99999, (1 << 17) - 1}),  # past one 2^16-entry block
     (18, set(range(0, 1 << 18, 4099)) | {(1 << 18) - 1}),
+    # 4095, 4096 and 4097 minterms: one short of, at and one past a chunk edge
+    (13, set(range(4095))), (13, set(range(4096))), (13, {0} | set(range(1, 1 << 13, 2))),
+    (14, set(range(0, 1 << 14, 2)) | {1}),  # 8193 minterms, past two chunks
+    (20, set(range(3, 1 << 20, 40009)) | {(1 << 20) - 1}),  # sparse, in all 16 blocks of 2^16 entries
 ])
 def test_emit_matches_per_line_reference(n, minterms):
     f = from_minterms(minterms, n)

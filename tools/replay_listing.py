@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""A sha256 listing of what svmem's netlist replay gives on a fixed input set.
+"""A sha256 listing of what svmem's netlist emitter and replay give on a fixed input set.
 
 Run from the repository root, against the svmem on PYTHONPATH:
 
     PYTHONPATH=src python3 tools/replay_listing.py [--verbose]
 
-It prints one line, `replay <outcomes> <sha256>`, and with --verbose every
-outcome line before it: the input's label and the sha256 of the replayed
-amplitudes' bytes, or of the error's type and message. Two checkouts whose
-lines match replay alike on these inputs. The inputs are built here with
+It prints two lines, `replay <outcomes> <sha256>` and `emit <texts> <sha256>`,
+and with --verbose every outcome line before them: the input's label and
+the sha256 of the replayed amplitudes' bytes, or of the error's type and
+message. The `emit` line hashes the bytes of the emitted netlists, one
+after another. Two checkouts whose lines match emit and replay alike on
+these inputs. The inputs are built here with
 the standard library and svmem's public API, and every replay goes through
 `svmem.replay_circuit`:
 
@@ -119,12 +121,17 @@ def main() -> None:
     args = parser.parse_args()
     rng = random.Random(10)
     lines = []
+    emitted, emit_hash = 0, hashlib.sha256()  # the emitted texts, hashed one after another
     for label, text, total in inputs(rng):
+        if label.startswith("emitted "):
+            emitted += 1
+            emit_hash.update(text.encode("ascii"))
         line = f"{label}\t{hashlib.sha256(outcome(text, state(total, rng))).hexdigest()[:16]}"
         lines.append(line)
         if args.verbose:
             print(line)
     print("replay", len(lines), hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest())
+    print("emit", emitted, emit_hash.hexdigest())
 
 
 if __name__ == "__main__":
