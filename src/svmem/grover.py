@@ -21,7 +21,6 @@ from .oracle import apply_phase
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     StateVector,
-    _check_finite,
     check_cap,
     check_count,
     check_qubits,
@@ -59,11 +58,22 @@ def uniform_state(n: int) -> StateVector:
 
 
 def diffusion(psi: StateVector) -> StateVector:
-    """Inversion about the mean: every amplitude a becomes 2*mean - a."""
-    mean = psi.amps.mean()
-    amps = 2.0 * mean - psi.amps
-    _check_finite(amps)  # the mean of finite amplitudes can overflow
-    return StateVector._adopt(psi.n, amps)
+    """Inversion about the mean: every amplitude a becomes 2*mean - a.
+
+    Raises ValueError("amplitudes must be finite") exactly when a result
+    would not be finite, with no pass over the results: a non-finite
+    amplitude makes the mean non-finite, and from finite amplitudes and a
+    finite mean a result stops being finite only by an overflow, which
+    errstate raises. An underflow is no error here, whatever np.seterr says.
+    """
+    with np.errstate(over="raise", invalid="raise", under="ignore"):
+        try:
+            mean = psi.amps.mean()
+            if np.isfinite(mean):
+                return StateVector._adopt(psi.n, 2.0 * mean - psi.amps)
+        except FloatingPointError:
+            pass
+    raise ValueError("amplitudes must be finite")
 
 
 def _validate_space(N: int, M: int) -> float:

@@ -130,8 +130,9 @@ class StateVector:
     def _adopt(cls, n: int, amps: np.ndarray, total: float | None = None) -> StateVector:
         """Package-internal: the state over amps, 2^n complex128 values svmem just allocated.
 
-        No copy and no checks: the caller has built amps in shape and run
-        _check_finite wherever a value can stop being finite. amps and
+        No copy and no checks: the caller has built amps in shape and, wherever
+        a value can stop being finite, run _check_finite or established
+        finiteness as `diffusion` does. amps and
         every array on its .base chain are svmem's own temporaries, and
         are frozen here, so the readouts may keep this state's squared norm.
         A caller that knows it exactly, bit for bit as norm_squared would
@@ -199,8 +200,10 @@ def _subcube(factors: Sequence[Factor], dtype) -> np.ndarray:
 def kron(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; entry p*2^b.n + q equals a.amps[p] * b.amps[q]."""
     check_qubits(a.n + b.n)
-    amps = np.kron(a.amps, b.amps)
-    _check_finite(amps)  # a product of two finite amplitudes can overflow
+    # a product of two finite amplitudes can overflow: one error, no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.kron(a.amps, b.amps)
+    _check_finite(amps)
     return StateVector._adopt(a.n + b.n, amps)
 
 

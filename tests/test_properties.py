@@ -9,8 +9,10 @@ import copy
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +78,35 @@ def test_simulated_success_follows_the_closed_form(f, k):
 @given(st.lists(st.sampled_from(list(Factor)), min_size=1, max_size=12))
 def test_encoded_word_decodes_to_its_pattern(pattern):
     assert pattern_for(encode(pattern).amps.real) == tuple(pattern)
+
+
+DBL_MAX = float(np.finfo(np.float64).max)
+
+# parts at diffusion's edges: sums and doubles that overflow, subnormals, signed zeros
+EDGE_DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, DBL_MAX, -DBL_MAX]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 6))
+def test_diffusion_raises_exactly_when_a_result_is_not_finite(data, n):
+    parts = np.array(data.draw(st.lists(EDGE_DOUBLES, min_size=2 << n, max_size=2 << n)))
+    psi = StateVector(n, parts.view(np.complex128))
+    # the caller's array stays writable: a part can stop being finite after the check
+    writes = st.tuples(st.integers(0, (2 << n) - 1), st.sampled_from([math.inf, -math.inf, math.nan]))
+    for index, value in data.draw(st.lists(writes, max_size=2)):
+        parts[index] = value
+    with np.errstate(all="ignore"):
+        reference = 2.0 * psi.amps.mean() - psi.amps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.isfinite(reference).all():
+            assert diffusion(psi).amps.tobytes() == reference.tobytes()
+        else:
+            with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                diffusion(psi)
 
 
 def _table(draw, n):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from functools import reduce
 from unittest import mock
 
@@ -390,10 +391,11 @@ def test_encode_carries_the_norm_a_sum_gives(pattern):
 
 
 def test_kron_and_diffusion_still_check_finiteness():
-    # a product or a mean of finite amplitudes can overflow; errstate keeps
-    # numpy's RuntimeWarning from firing before the check
+    # a product or a mean of finite amplitudes can overflow: each call raises
+    # the documented error, and numpy's RuntimeWarning never fires first
     big = StateVector(1, [1e308, 1e308])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^amplitudes must be finite$"):
             kron(big, big)
         with pytest.raises(ValueError, match="^amplitudes must be finite$"):
