@@ -21,6 +21,7 @@ from .oracle import apply_phase
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     StateVector,
+    _arithmetic,
     check_cap,
     check_count,
     check_qubits,
@@ -57,23 +58,19 @@ def uniform_state(n: int) -> StateVector:
     return StateVector._adopt(n, np.full(1 << n, amp, dtype=np.complex128))
 
 
+@_arithmetic
 def diffusion(psi: StateVector) -> StateVector:
     """Inversion about the mean: every amplitude a becomes 2*mean - a.
 
-    Raises ValueError("amplitudes must be finite") exactly when a result
-    would not be finite, with no pass over the results: a non-finite
-    amplitude makes the mean non-finite, and from finite amplitudes and a
-    finite mean a result stops being finite only by an overflow, which
-    errstate raises. An underflow is no error here, whatever np.seterr says.
+    Raises ValueError("amplitudes must be finite") exactly when a result would
+    not be finite, with no pass over the results: an inf or NaN amplitude makes
+    the mean non-finite, and from finite amplitudes and a finite mean a result
+    stops being finite only by an overflow, which the floating-point policy raises.
     """
-    with np.errstate(over="raise", invalid="raise", under="ignore"):
-        try:
-            mean = psi.amps.mean()
-            if np.isfinite(mean):
-                return StateVector._adopt(psi.n, 2.0 * mean - psi.amps)
-        except FloatingPointError:
-            pass
-    raise ValueError("amplitudes must be finite")
+    mean = psi.amps.mean()
+    if not np.isfinite(mean):  # an inf amplitude raises no flag on its way
+        raise ValueError("amplitudes must be finite")
+    return StateVector._adopt(psi.n, 2.0 * mean - psi.amps)
 
 
 def _validate_space(N: int, M: int) -> float:

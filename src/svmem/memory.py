@@ -28,6 +28,7 @@ from .statevec import (
     DEFAULT_SUPPORT_EPS,
     Factor,
     StateVector,
+    _arithmetic,
     _readout_norm_squared,
     check_cap,
     check_count,
@@ -167,6 +168,7 @@ def pattern_for(word: Sequence[int] | np.ndarray) -> tuple[Factor, ...] | None:
     return tuple(factors)
 
 
+@_arithmetic
 def ram_read(
     psi: StateVector, k: int, eps: float = DEFAULT_SUPPORT_EPS
 ) -> tuple[int, float]:
@@ -182,10 +184,11 @@ def ram_read(
     return (1 if magnitude > eps else 0, float(magnitude**2 / total))
 
 
+@_arithmetic
 def cam_match(psi: StateVector, f: BoolFn) -> float:
     """Probability that f's marking-oracle auxiliary reads 1 on this state.
 
-    Equals 1 exactly when the state's support lies inside f's truth set.
+    About 1 for a support inside f's truth set; exactly 1 if the weights sum exactly, as encoded ones do.
     """
     if f.n != psi.n:
         raise ShapeError(f"function on {f.n} inputs got a {psi.n}-qubit state")
@@ -194,6 +197,7 @@ def cam_match(psi: StateVector, f: BoolFn) -> float:
     return float(weights[f.table].sum() / total)
 
 
+@_arithmetic
 def recognizes(
     f: BoolFn, psi: StateVector, eps: float = DEFAULT_SUPPORT_EPS
 ) -> bool:

@@ -14,10 +14,15 @@ allocated itself (`StateVector._adopt`), so a readout computes the squared
 norm of such a state once and keeps it; `encode` hands over its exact norm,
 so its states are never summed. A caller's `StateVector(n, arr)`
 keeps arr as given, writable if it was, and its norm is never kept.
+
+One floating-point policy, `_arithmetic`, covers each function whose arithmetic
+on finite amplitudes can raise a flag: an underflow rounds, and an overflow or
+invalid result raises ValueError("amplitudes must be finite"), whatever np.seterr says.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -90,6 +95,20 @@ def _check_finite(amps: np.ndarray) -> None:
         raise ValueError("amplitudes must be finite")
 
 
+def _arithmetic(fn):
+    """fn under the floating-point policy; a fresh errstate per call, as numpy 1.x's is not reentrant."""
+
+    @functools.wraps(fn)
+    def under_policy(*args, **kwargs):
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                return fn(*args, **kwargs)
+        except FloatingPointError:
+            raise ValueError("amplitudes must be finite") from None
+
+    return under_policy
+
+
 def check_tolerance(eps: float) -> None:
     """Raise ValueError unless the readout tolerance is a positive number (NaN is not)."""
     if not eps > 0:
@@ -130,13 +149,12 @@ class StateVector:
     def _adopt(cls, n: int, amps: np.ndarray, total: float | None = None) -> StateVector:
         """Package-internal: the state over amps, 2^n complex128 values svmem just allocated.
 
-        No copy and no checks: the caller has built amps in shape and, wherever
-        a value can stop being finite, run _check_finite or established
-        finiteness as `diffusion` does. amps and
-        every array on its .base chain are svmem's own temporaries, and
-        are frozen here, so the readouts may keep this state's squared norm.
-        A caller that knows it exactly, bit for bit as norm_squared would
-        sum it, and nonzero, passes it as total, and no readout sums it.
+        No copy and no checks: the caller has built amps in shape and finite,
+        from checked inputs, under _arithmetic wherever they can overflow. amps
+        and every array on its .base chain are svmem's own temporaries, and are
+        frozen here, so the readouts may keep this state's squared norm. A
+        caller that knows it exactly, bit for bit as norm_squared would sum it,
+        and nonzero, passes it as total, and no readout sums it.
         """
         base = amps
         while isinstance(base, np.ndarray):
@@ -197,14 +215,16 @@ def _subcube(factors: Sequence[Factor], dtype) -> np.ndarray:
     return grid.reshape(-1)
 
 
+@_arithmetic
 def kron(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; entry p*2^b.n + q equals a.amps[p] * b.amps[q]."""
+    """Tensor product; entry p*2^b.n + q equals a.amps[p] * b.amps[q].
+
+    ValueError("amplitudes must be finite") iff an operand entry is not finite or a product overflows.
+    """
     check_qubits(a.n + b.n)
-    # a product of two finite amplitudes can overflow: one error, no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        amps = np.kron(a.amps, b.amps)
-    _check_finite(amps)
-    return StateVector._adopt(a.n + b.n, amps)
+    _check_finite(a.amps)
+    _check_finite(b.amps)
+    return StateVector._adopt(a.n + b.n, np.kron(a.amps, b.amps))
 
 
 # Amplitudes per np.vdot in norm_squared: OpenBLAS runs a dot product of
@@ -221,6 +241,7 @@ def norm_squared(psi: StateVector) -> float:
     return sum(float(np.vdot(chunk, chunk).real) for chunk in chunks)
 
 
+@_arithmetic
 def support(psi: StateVector, eps: float = DEFAULT_SUPPORT_EPS) -> set[int]:
     """Basis indices whose amplitude magnitude exceeds eps."""
     check_tolerance(eps)
@@ -250,6 +271,7 @@ def _readout_norm_squared(psi: StateVector) -> float:
     return total
 
 
+@_arithmetic
 def probabilities(psi: StateVector) -> np.ndarray:
     """Measurement distribution |amps|^2 / norm_squared, as a float array."""
     total = _readout_norm_squared(psi)

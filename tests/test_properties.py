@@ -17,10 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svmem.boolfn import BoolFn
-from svmem.grover import diffusion, run, uniform_state
-from svmem.memory import cam_match, pattern_for, ram_read
+from svmem.grover import GroverReport, diffusion, run, uniform_state
+from svmem.memory import cam_match, pattern_for, ram_read, recognizes
 from svmem.oracle import apply_marking, apply_phase, emit_circuit, replay_circuit
-from svmem.statevec import Factor, StateVector, encode, kron, probabilities
+from svmem.statevec import (
+    Factor,
+    StateVector,
+    encode,
+    kron,
+    norm_squared,
+    probabilities,
+    support,
+)
 
 MINUS = StateVector(1, np.array([1.0, -1.0], dtype=complex))  # |−⟩, unnormalized
 
@@ -89,24 +97,100 @@ EDGE_DOUBLES = st.one_of(
 )
 
 
+def _pooled_parts(draw, n, values):
+    """The parts of an n-qubit state, from at most four drawn values: a whole state can be tiny or huge."""
+    pool = draw(st.lists(values, min_size=1, max_size=4))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=2 << n, max_size=2 << n)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(1, 6))
-def test_diffusion_raises_exactly_when_a_result_is_not_finite(data, n):
+@given(st.data(), st.integers(1, 6), st.integers(0, 2))
+def test_diffusion_raises_exactly_when_a_result_is_not_finite(data, n, m):
+    # kron is one more case: it checks its operands, never its product
     parts = np.array(data.draw(st.lists(EDGE_DOUBLES, min_size=2 << n, max_size=2 << n)))
-    psi = StateVector(n, parts.view(np.complex128))
-    # the caller's array stays writable: a part can stop being finite after the check
-    writes = st.tuples(st.integers(0, (2 << n) - 1), st.sampled_from([math.inf, -math.inf, math.nan]))
-    for index, value in data.draw(st.lists(writes, max_size=2)):
-        parts[index] = value
+    # from a few values, so that often a write into it alone makes kron's product not finite
+    other = _pooled_parts(data.draw, m, EDGE_DOUBLES)
+    psi, phi = StateVector(n, parts.view(np.complex128)), StateVector(m, other.view(np.complex128))
+    # the callers' arrays stay writable: a part can stop being finite after the check
+    for array in (parts, other):
+        writes = st.tuples(st.integers(0, array.size - 1), st.sampled_from([math.inf, -math.inf, math.nan]))
+        for index, value in data.draw(st.lists(writes, max_size=2)):
+            array[index] = value
     with np.errstate(all="ignore"):
-        reference = 2.0 * psi.amps.mean() - psi.amps
+        cases = {
+            diffusion: ((psi,), 2.0 * psi.amps.mean() - psi.amps),
+            kron: ((psi, phi), np.kron(psi.amps, phi.amps)),
+        }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if np.isfinite(reference).all():
-            assert diffusion(psi).amps.tobytes() == reference.tobytes()
-        else:
-            with pytest.raises(ValueError, match="^amplitudes must be finite$"):
-                diffusion(psi)
+        for function, (args, reference) in cases.items():
+            if np.isfinite(reference).all():
+                assert function(*args).amps.tobytes() == reference.tobytes()
+            else:
+                with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                    function(*args)
+
+
+# parts whose squares and products underflow, round to subnormals or overflow
+POLICY_DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-200, -1e-200, 1e-160, -1e-160, 1e154, -1e154, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+# numpy's default error state, and two that would change a result if svmem let them
+ERROR_STATES = (
+    dict(divide="warn", over="warn", invalid="warn", under="ignore"),
+    dict(all="raise"),
+    dict(all="ignore"),
+)
+
+
+def _outcome(call, state):
+    """call()'s result as bytes, or its exception's type and message, under state."""
+    with warnings.catch_warnings(), np.errstate(**state):
+        warnings.simplefilter("error")
+        try:
+            result = call()
+        except Exception as exc:
+            return type(exc), str(exc)
+    if isinstance(result, GroverReport):
+        return json.dumps(result.to_json_dict()).encode() + result.final_state.amps.tobytes()
+    if isinstance(result, StateVector):
+        result = result.amps
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    return repr(sorted(result) if isinstance(result, set) else result)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(2, 6), st.integers(1, 2))
+def test_no_result_depends_on_numpys_error_state(data, n, m):
+    parts, other = _pooled_parts(data.draw, n, POLICY_DOUBLES), _pooled_parts(data.draw, m, POLICY_DOUBLES)
+    psi, phi = StateVector(n, parts.view(np.complex128)), StateVector(m, other.view(np.complex128))
+    f, g = _table(data.draw, n), _table(data.draw, n - 1)
+    k = data.draw(st.integers(0, (1 << n) - 1))
+    iterations = data.draw(st.integers(0, 3))
+    seed, shots = data.draw(st.integers(0, 99)), data.draw(st.integers(0, 64))
+    calls = {
+        "kron": lambda: kron(psi, phi),
+        "diffusion": lambda: diffusion(psi),
+        "probabilities": lambda: probabilities(psi),
+        "support": lambda: support(psi),
+        "norm_squared": lambda: norm_squared(psi),
+        "ram_read": lambda: ram_read(psi, k),
+        "cam_match": lambda: cam_match(psi, f),
+        "recognizes": lambda: recognizes(f, psi),
+        "apply_phase": lambda: apply_phase(f, psi),
+        "apply_marking": lambda: apply_marking(g, psi),
+        "replay_circuit": lambda: replay_circuit(emit_circuit(g), psi),
+        "run": lambda: run(f, iterations, seed=seed, shots=shots),
+    }
+    # below 1e150 no square, product or sum of these parts overflows: an underflow only rounds
+    bounded = max(np.abs(parts).max(), np.abs(other).max()) < 1e150
+    for name, call in calls.items():
+        outcomes = [_outcome(call, state) for state in ERROR_STATES]
+        assert len(set(outcomes)) == 1, name
+        assert not (bounded and outcomes[0] == (ValueError, "amplitudes must be finite")), name
 
 
 def _table(draw, n):
