@@ -58,19 +58,29 @@ def uniform_state(n: int) -> StateVector:
     return StateVector._adopt(n, np.full(1 << n, amp, dtype=np.complex128))
 
 
-@_arithmetic
-def diffusion(psi: StateVector) -> StateVector:
-    """Inversion about the mean: every amplitude a becomes 2*mean - a.
+def _invert_about_mean(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2*mean - a for every amplitude a, into out (a fresh array if None); out may be amps.
 
     Raises ValueError("amplitudes must be finite") exactly when a result would
     not be finite, with no pass over the results: an inf or NaN amplitude makes
     the mean non-finite, and from finite amplitudes and a finite mean a result
-    stops being finite only by an overflow, which the floating-point policy raises.
+    stops being finite only by an overflow, which the caller's floating-point
+    policy raises.
     """
-    mean = psi.amps.mean()
+    mean = amps.mean()
     if not np.isfinite(mean):  # an inf amplitude raises no flag on its way
         raise ValueError("amplitudes must be finite")
-    return StateVector._adopt(psi.n, 2.0 * mean - psi.amps)
+    return np.subtract(2.0 * mean, amps, out=out)
+
+
+@_arithmetic
+def diffusion(psi: StateVector) -> StateVector:
+    """Inversion about the mean: every amplitude a becomes 2*mean - a, in a fresh state.
+
+    Raises ValueError("amplitudes must be finite") exactly when a result would
+    not be finite; see _invert_about_mean, the arithmetic run shares.
+    """
+    return StateVector._adopt(psi.n, _invert_about_mean(psi.amps))
 
 
 def _validate_space(N: int, M: int) -> float:
@@ -175,6 +185,24 @@ class GroverReport:
         }
 
 
+@_arithmetic
+def _iterate(f: BoolFn, k: int) -> StateVector:
+    """k Grover iterations from the uniform state: one new array per iteration.
+
+    The public apply_phase makes each iteration's copy; inversion about the
+    mean then runs in place on it. That copy owns its data and nothing else
+    holds it, so it is thawed for the subtract and frozen again. psi is
+    rebound to it first, so at most two states are alive at once.
+    """
+    psi = uniform_state(f.n)
+    for _ in range(k):
+        psi = apply_phase(f, psi)
+        amps = psi.amps
+        amps.setflags(write=True)
+        psi = StateVector._adopt(f.n, _invert_about_mean(amps, out=amps))
+    return psi
+
+
 def run(
     f: BoolFn,
     iterations: int | str = AUTO,
@@ -198,11 +226,7 @@ def run(
     shots = _check_shots(shots)  # before the search, which sampling follows
     seed = _check_seed(seed)  # the report prints it, with or without shots
 
-    psi = uniform_state(f.n)
-    for _ in range(k):
-        # rebound before diffusion, so at most two states are alive at once
-        psi = apply_phase(f, psi)
-        psi = diffusion(psi)
+    psi = _iterate(f, k)
     probs = probabilities(psi)
     simulated = float(probs[f.table].sum())
     samples = sample_counts(probs, shots, seed) if shots else {}

@@ -193,8 +193,9 @@ def cam_match(psi: StateVector, f: BoolFn) -> float:
     if f.n != psi.n:
         raise ShapeError(f"function on {f.n} inputs got a {psi.n}-qubit state")
     total = _readout_norm_squared(psi)
-    weights = np.abs(psi.amps) ** 2
-    return float(weights[f.table].sum() / total)
+    # the truth set's amplitudes only, gathered before any arithmetic
+    weights = np.abs(psi.amps[f.table]) ** 2
+    return float(weights.sum() / total)
 
 
 @_arithmetic

@@ -13,7 +13,8 @@ Every state this package returns holds read-only amplitudes that it
 allocated itself (`StateVector._adopt`), so a readout computes the squared
 norm of such a state once and keeps it; `encode` hands over its exact norm,
 so its states are never summed. A caller's `StateVector(n, arr)`
-keeps arr as given, writable if it was, and its norm is never kept.
+keeps arr as given, writable if it was, and its norm is never kept; the
+oracles check a writable array's finiteness again before copying it.
 
 One floating-point policy, `_arithmetic`, covers each function whose arithmetic
 on finite amplitudes can raise a flag: an underflow rounds, and an overflow or
@@ -256,7 +257,10 @@ def _readout_norm_squared(psi: StateVector) -> float:
     amplitudes are still the same read-only array; a writable array, as in
     a caller's state or a deep copy, is summed again on every call. A caller
     who thaws a returned array, writes into it and freezes it again with no
-    readout in between leaves the kept value stale.
+    readout in between leaves the kept value stale. A total that is not
+    finite reads as an overflow only when every amplitude is finite; else,
+    as when a caller's writable array took an inf or NaN, the error is
+    ValueError("amplitudes must be finite").
     """
     kept = getattr(psi, "_kept_norm", None)
     if kept is not None and kept[0] is psi.amps and not psi.amps.flags.writeable:
@@ -265,6 +269,9 @@ def _readout_norm_squared(psi: StateVector) -> float:
     if total == 0.0:
         raise DegenerateStateError("the all-zero state has no measurement distribution")
     if not math.isfinite(total):
+        if math.isnan(total):  # only a non-finite amplitude gives NaN
+            raise ValueError("amplitudes must be finite")
+        _check_finite(psi.amps)
         raise ValueError("the squared norm of the state overflows a double")
     if hasattr(psi, "_kept_norm") and not psi.amps.flags.writeable:
         psi._kept_norm = (psi.amps, total)

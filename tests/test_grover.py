@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from conftest import traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svmem import grover
 from svmem.boolfn import from_minterms, needle, truth_set
@@ -205,6 +207,24 @@ def test_run_holds_two_states_per_iteration():
     report, peak = traced_peak(lambda: run(f, iterations=3))
     assert report.iterations == 3
     assert peak <= 2.01 * report.final_state.amps.nbytes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_run_is_the_public_reference_loop_byte_for_byte(data, n, seed):
+    # run inverts about the mean in place on the oracle's copy; the
+    # reference builds a fresh state with the public diffusion
+    size = 1 << n
+    marked = data.draw(st.integers(1, size), label="M")
+    f = _random_marked(np.random.default_rng(seed), n, marked)
+    k = data.draw(st.integers(0, optimal_iterations(size, marked) + 2), label="k")
+    psi = uniform_state(n)
+    for _ in range(k):
+        psi = diffusion(apply_phase(f, psi))
+    report = run(f, iterations=k)
+    assert report.final_state.amps.tobytes() == psi.amps.tobytes()
+    assert report.simulated_success == float(probabilities(psi)[f.table].sum())
+    assert report.final_state.amps.flags.writeable is False
 
 
 def test_run_matches_closed_form_over_grid():

@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 from conftest import traced_peak
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from svmem import memory
 from svmem.boolfn import BoolFn, from_minterms, needle, parse, truth_set
 from svmem.errors import DegenerateStateError, ResourceLimitError, ShapeError
+from svmem.grover import uniform_state
 from svmem.memory import (
     CAPACITY_CAP,
     CapacityRow,
@@ -303,6 +304,38 @@ def test_cam_match_equals_marking_aux_route():
         out = apply_marking(f, kron(psi, zero_aux))
         aux_one = float(np.sum(np.abs(out.amps[1::2]) ** 2) / norm_squared(out))
         assert cam_match(psi, f) == pytest.approx(aux_one, abs=1e-12)
+
+
+# parts whose squares underflow or round to subnormals, and large ones
+# whose squares stay finite summed over 2^9 parts
+CAM_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-160, 1e-200, 1e150]),
+    st.floats(-1e150, 1e150),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 8))
+def test_cam_match_gathers_the_same_weights_as_squaring_them_all(data, n):
+    # every amplitude squared, then the truth set selected: the same
+    # elements in the same order, so the sum has the same bits
+    parts = np.array(data.draw(st.lists(CAM_PARTS, min_size=2 << n, max_size=2 << n)))
+    psi = StateVector(n, parts.view(complex))
+    f = BoolFn(n, data.draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n)))
+    total = norm_squared(psi)
+    assume(total > 0.0)  # else cam_match raises
+    expected = (np.abs(psi.amps) ** 2)[f.table].sum() / total
+    assert np.float64(cam_match(psi, f)).tobytes() == np.float64(expected).tobytes()
+
+
+def test_cam_match_of_a_needle_holds_no_state_sized_array():
+    # the one marked amplitude is gathered before np.abs (measured 0.5x the
+    # state when every amplitude was squared first)
+    psi = uniform_state(18)
+    f = needle(12345, 18)
+    probability, peak = traced_peak(lambda: cam_match(psi, f))
+    assert probability == 2.0**-18
+    assert peak < 0.1 * psi.amps.nbytes
 
 
 # --- recognizes --------------------------------------------------------------------------

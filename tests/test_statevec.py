@@ -16,7 +16,7 @@ from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svmem import statefile, statevec
+from svmem import oracle, statefile, statevec
 from svmem.boolfn import (
     count_functions,
     default_var_names,
@@ -27,7 +27,7 @@ from svmem.boolfn import (
 )
 from svmem.errors import DegenerateStateError, ResourceLimitError
 from svmem.grover import diffusion, predicted_success, run, uniform_state
-from svmem.memory import capacity, enumerate_patterns, ram_read
+from svmem.memory import cam_match, capacity, enumerate_patterns, ram_read
 from svmem.oracle import apply_marking, apply_phase, emit_circuit, replay_circuit
 from svmem.statevec import (
     DEFAULT_QUBIT_CAP,
@@ -400,6 +400,44 @@ def test_kron_and_diffusion_still_check_finiteness():
             kron(big, big)
         with pytest.raises(ValueError, match="^amplitudes must be finite$"):
             diffusion(big)
+
+
+# every call that reads a caller's amplitudes after StateVector checked them
+CALLER_AMPLITUDE_READERS = {
+    "apply_phase": lambda psi: apply_phase(needle(0, 2), psi),
+    "apply_marking": lambda psi: apply_marking(needle(0, 1), psi),
+    "replay_circuit": lambda psi: replay_circuit(emit_circuit(needle(0, 1)), psi),
+    "probabilities": probabilities,
+    "ram_read": lambda psi: ram_read(psi, 1),
+    "cam_match": lambda psi: cam_match(psi, needle(0, 2)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(CALLER_AMPLITUDE_READERS))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+def test_a_callers_amplitude_made_non_finite_is_refused(value, reader):
+    # the caller's array stays writable, so it can change after StateVector checked it
+    a = np.array([1, 0, 0, 0], complex)
+    psi = StateVector(2, a)
+    a[0] = value
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        CALLER_AMPLITUDE_READERS[reader](psi)
+
+
+def test_the_oracles_check_only_writable_amplitudes(monkeypatch):
+    # svmem's own states are frozen and finite: the oracles make no pass over them
+    checked = []
+    monkeypatch.setattr(oracle, "_check_finite", checked.append)
+    own = kron(encode("BB"), encode("Z"))
+    apply_phase(parse("a", ["a", "b", "c"]), own)
+    apply_marking(needle(1, 2), own)
+    replay_circuit(emit_circuit(needle(1, 2)), own)
+    assert checked == []
+    caller = StateVector(3, own.amps.copy())
+    apply_phase(parse("a", ["a", "b", "c"]), caller)
+    apply_marking(needle(1, 2), caller)
+    replay_circuit(emit_circuit(needle(1, 2)), caller)
+    assert [amps is caller.amps for amps in checked] == [True] * 3
 
 
 # --- one size cap for every entry point ----------------------------------------
