@@ -21,6 +21,7 @@ from .oracle import apply_phase
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     StateVector,
+    _amps,
     _arithmetic,
     check_cap,
     check_count,
@@ -61,15 +62,13 @@ def uniform_state(n: int) -> StateVector:
 def _invert_about_mean(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """2*mean - a for every amplitude a, into out (a fresh array if None); out may be amps.
 
-    Raises ValueError("amplitudes must be finite") exactly when a result would
-    not be finite, with no pass over the results: an inf or NaN amplitude makes
-    the mean non-finite, and from finite amplitudes and a finite mean a result
-    stops being finite only by an overflow, which the caller's floating-point
-    policy raises.
+    amps must be finite, as the amplitudes of an owned state or those _amps
+    returns are. From finite amplitudes the mean or a result stops being
+    finite only by an overflow, which the caller's floating-point policy
+    raises as ValueError("amplitudes must be finite"): no pass over the
+    amplitudes or the results checks them.
     """
     mean = amps.mean()
-    if not np.isfinite(mean):  # an inf amplitude raises no flag on its way
-        raise ValueError("amplitudes must be finite")
     return np.subtract(2.0 * mean, amps, out=out)
 
 
@@ -77,10 +76,10 @@ def _invert_about_mean(amps: np.ndarray, out: np.ndarray | None = None) -> np.nd
 def diffusion(psi: StateVector) -> StateVector:
     """Inversion about the mean: every amplitude a becomes 2*mean - a, in a fresh state.
 
-    Raises ValueError("amplitudes must be finite") exactly when a result would
-    not be finite; see _invert_about_mean, the arithmetic run shares.
+    Raises ValueError("amplitudes must be finite") when an amplitude or a
+    result would not be finite; see _invert_about_mean, the arithmetic run shares.
     """
-    return StateVector._adopt(psi.n, _invert_about_mean(psi.amps))
+    return StateVector._adopt(psi.n, _invert_about_mean(_amps(psi)))
 
 
 def _validate_space(N: int, M: int) -> float:

@@ -28,6 +28,7 @@ from .statevec import (
     DEFAULT_SUPPORT_EPS,
     Factor,
     StateVector,
+    _amps,
     _arithmetic,
     _readout_norm_squared,
     check_cap,
@@ -210,4 +211,4 @@ def recognizes(
     if f.n != psi.n:
         raise ShapeError(f"function on {f.n} inputs got a {psi.n}-qubit state")
     check_tolerance(eps)
-    return np.array_equal(f.table, np.abs(psi.amps) > eps)
+    return np.array_equal(f.table, np.abs(_amps(psi)) > eps)

@@ -23,21 +23,10 @@ from .statevec import (
     DEFAULT_QUBIT_CAP,
     Factor,
     StateVector,
-    _check_finite,
+    _amps,
     _subcube,
     check_cap,
 )
-
-
-def _check_caller_amps(psi: StateVector) -> None:
-    """ValueError unless a caller's writable amplitudes are still finite.
-
-    svmem's own states are frozen and finite and are not checked again; a
-    writable array may have changed since StateVector checked it, and the
-    oracle's result is frozen as svmem's own.
-    """
-    if psi.amps.flags.writeable:
-        _check_finite(psi.amps)
 
 
 def apply_marking(f: BoolFn, psi: StateVector) -> StateVector:
@@ -46,9 +35,8 @@ def apply_marking(f: BoolFn, psi: StateVector) -> StateVector:
         raise ShapeError(
             f"marking oracle on {f.n} inputs needs {f.n + 1} qubits, state has {psi.n}"
         )
-    _check_caller_amps(psi)
     # row x holds the amplitudes of |x, 0> and |x, 1>; f(x)=1 swaps them
-    pairs = psi.amps.reshape(-1, 2)
+    pairs = _amps(psi).reshape(-1, 2)
     return StateVector._adopt(psi.n, np.where(f.table[:, None], pairs[:, ::-1], pairs).reshape(-1))
 
 
@@ -62,8 +50,7 @@ def apply_phase(f: BoolFn, psi: StateVector) -> StateVector:
     """
     if psi.n != f.n:
         raise ShapeError(f"phase oracle on {f.n} inputs got a {psi.n}-qubit state")
-    _check_caller_amps(psi)
-    amps = psi.amps.copy()
+    amps = _amps(psi).copy()
     np.multiply(amps, -1, out=amps, where=f.table)
     return StateVector._adopt(psi.n, amps)
 
@@ -133,8 +120,7 @@ def replay_circuit(text: str, psi: StateVector) -> StateVector:
         raise ValueError(f"bad netlist header: {lines[0]!r}") from None
     if psi.n != total:
         raise ShapeError(f"netlist wants {total} qubits, state has {psi.n}")
-    _check_caller_amps(psi)
-    pairs = psi.amps.reshape(-1, 2).copy()
+    pairs = _amps(psi).reshape(-1, 2).copy()
     for line in lines[1:]:
         m = _MCX_LINE.fullmatch(line)
         if m is None:

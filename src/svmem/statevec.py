@@ -9,12 +9,16 @@ States are kept unnormalized on purpose: encoding produces exact 0/1
 amplitudes, and only the readouts (`probabilities` here, RAM and CAM
 reads in memory) divide by the squared norm, checked in one place.
 
-Every state this package returns holds read-only amplitudes that it
-allocated itself (`StateVector._adopt`), so a readout computes the squared
-norm of such a state once and keeps it; `encode` hands over its exact norm,
-so its states are never summed. A caller's `StateVector(n, arr)`
-keeps arr as given, writable if it was, and its norm is never kept; the
-oracles check a writable array's finiteness again before copying it.
+One trust rule covers every read of amplitudes. A state this package
+returns holds read-only amplitudes that it allocated and built finite
+(`StateVector._adopt`); while it holds that array (`_owned`), they are
+read as they are, and a readout keeps its squared norm after one sum
+(`encode` hands over its exact norm). Any other array, as in a caller's
+`StateVector(n, arr)`, which keeps arr as given, may have changed since
+it was checked: `_amps` checks it again on every read, and a readout
+sums its norm every time. Unsupported: thawing a returned array, writing
+into it and freezing it again, which leaves both the trust and the kept
+norm stale.
 
 One floating-point policy, `_arithmetic`, covers each function whose arithmetic
 on finite amplitudes can raise a flag: an underflow rounds, and an overflow or
@@ -96,6 +100,19 @@ def _check_finite(amps: np.ndarray) -> None:
         raise ValueError("amplitudes must be finite")
 
 
+def _owned(psi: StateVector) -> bool:
+    """True while psi still holds, read-only, the array _adopt gave it: svmem's own and finite."""
+    adopted = getattr(psi, "_adopted", None)  # a caller's StateVector has none
+    return adopted is not None and adopted[0] is psi.amps and not psi.amps.flags.writeable
+
+
+def _amps(psi: StateVector) -> np.ndarray:
+    """psi.amps, every one checked finite first unless psi is svmem's own."""
+    if not _owned(psi):
+        _check_finite(psi.amps)
+    return psi.amps
+
+
 def _arithmetic(fn):
     """fn under the floating-point policy; a fresh errstate per call, as numpy 1.x's is not reentrant."""
 
@@ -153,7 +170,7 @@ class StateVector:
         No copy and no checks: the caller has built amps in shape and finite,
         from checked inputs, under _arithmetic wherever they can overflow. amps
         and every array on its .base chain are svmem's own temporaries, and are
-        frozen here, so the readouts may keep this state's squared norm. A
+        frozen here, so the state is owned: read unchecked, its norm kept. A
         caller that knows it exactly, bit for bit as norm_squared would sum it,
         and nonzero, passes it as total, and no readout sums it.
         """
@@ -162,7 +179,7 @@ class StateVector:
             base.setflags(write=False)
             base = base.base
         psi = cls.__new__(cls)
-        psi.n, psi.amps, psi._kept_norm = n, amps, None if total is None else (amps, total)
+        psi.n, psi.amps, psi._adopted = n, amps, (amps, total)
         return psi
 
     def to_json_dict(self) -> dict:
@@ -223,9 +240,7 @@ def kron(a: StateVector, b: StateVector) -> StateVector:
     ValueError("amplitudes must be finite") iff an operand entry is not finite or a product overflows.
     """
     check_qubits(a.n + b.n)
-    _check_finite(a.amps)
-    _check_finite(b.amps)
-    return StateVector._adopt(a.n + b.n, np.kron(a.amps, b.amps))
+    return StateVector._adopt(a.n + b.n, np.kron(_amps(a), _amps(b)))
 
 
 # Amplitudes per np.vdot in norm_squared: OpenBLAS runs a dot product of
@@ -246,35 +261,30 @@ def norm_squared(psi: StateVector) -> float:
 def support(psi: StateVector, eps: float = DEFAULT_SUPPORT_EPS) -> set[int]:
     """Basis indices whose amplitude magnitude exceeds eps."""
     check_tolerance(eps)
-    return {int(k) for k in np.flatnonzero(np.abs(psi.amps) > eps)}
+    return {int(k) for k in np.flatnonzero(np.abs(_amps(psi)) > eps)}
 
 
 def _readout_norm_squared(psi: StateVector) -> float:
     """The squared norm every readout probability divides by, checked once.
 
-    Package-internal: probabilities, ram_read and cam_match share it. A
-    state from _adopt keeps the checked value and reuses it while its
-    amplitudes are still the same read-only array; a writable array, as in
-    a caller's state or a deep copy, is summed again on every call. A caller
-    who thaws a returned array, writes into it and freezes it again with no
-    readout in between leaves the kept value stale. A total that is not
-    finite reads as an overflow only when every amplitude is finite; else,
-    as when a caller's writable array took an inf or NaN, the error is
-    ValueError("amplitudes must be finite").
+    Package-internal: probabilities, ram_read and cam_match share it. An
+    owned state keeps the checked value and reuses it; any other state is
+    summed again on every call. A finite sum proves every amplitude finite,
+    so only a sum that is not finite checks them: an inf or NaN in a
+    caller's array raises ValueError("amplitudes must be finite"), and
+    otherwise, as always on an owned state, the sum overflowed.
     """
-    kept = getattr(psi, "_kept_norm", None)
-    if kept is not None and kept[0] is psi.amps and not psi.amps.flags.writeable:
-        return kept[1]
+    owned = _owned(psi)
+    if owned and psi._adopted[1] is not None:
+        return psi._adopted[1]
     total = norm_squared(psi)
     if total == 0.0:
         raise DegenerateStateError("the all-zero state has no measurement distribution")
     if not math.isfinite(total):
-        if math.isnan(total):  # only a non-finite amplitude gives NaN
-            raise ValueError("amplitudes must be finite")
-        _check_finite(psi.amps)
+        _amps(psi)  # raises on a caller's inf or NaN
         raise ValueError("the squared norm of the state overflows a double")
-    if hasattr(psi, "_kept_norm") and not psi.amps.flags.writeable:
-        psi._kept_norm = (psi.amps, total)
+    if owned:
+        psi._adopted = (psi.amps, total)
     return total
 
 

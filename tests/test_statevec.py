@@ -16,7 +16,7 @@ from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svmem import oracle, statefile, statevec
+from svmem import statefile, statevec
 from svmem.boolfn import (
     count_functions,
     default_var_names,
@@ -27,7 +27,7 @@ from svmem.boolfn import (
 )
 from svmem.errors import DegenerateStateError, ResourceLimitError
 from svmem.grover import diffusion, predicted_success, run, uniform_state
-from svmem.memory import cam_match, capacity, enumerate_patterns, ram_read
+from svmem.memory import cam_match, capacity, enumerate_patterns, ram_read, recognizes
 from svmem.oracle import apply_marking, apply_phase, emit_circuit, replay_circuit
 from svmem.statevec import (
     DEFAULT_QUBIT_CAP,
@@ -407,37 +407,68 @@ CALLER_AMPLITUDE_READERS = {
     "apply_phase": lambda psi: apply_phase(needle(0, 2), psi),
     "apply_marking": lambda psi: apply_marking(needle(0, 1), psi),
     "replay_circuit": lambda psi: replay_circuit(emit_circuit(needle(0, 1)), psi),
+    "kron": lambda psi: kron(psi, encode("B")),
+    "diffusion": diffusion,
+    "support": support,
+    "recognizes": lambda psi: recognizes(needle(0, 2), psi),
     "probabilities": probabilities,
     "ram_read": lambda psi: ram_read(psi, 1),
     "cam_match": lambda psi: cam_match(psi, needle(0, 2)),
 }
+# the readers that divide by the squared norm: a finite sum proves the amplitudes finite
+READOUTS = {"probabilities", "ram_read", "cam_match"}
 
 
 @pytest.mark.parametrize("reader", sorted(CALLER_AMPLITUDE_READERS))
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
 def test_a_callers_amplitude_made_non_finite_is_refused(value, reader):
-    # the caller's array stays writable, so it can change after StateVector checked it
-    a = np.array([1, 0, 0, 0], complex)
-    psi = StateVector(2, a)
-    a[0] = value
-    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
-        CALLER_AMPLITUDE_READERS[reader](psi)
+    # a caller's array can change after StateVector checked it: written
+    # directly while writable, or through the writable base of a read-only view
+    for read_only_view in (False, True):
+        base = np.array([1, 0, 0, 0], complex)
+        amps = base[:] if read_only_view else base
+        amps.setflags(write=not read_only_view)
+        psi = StateVector(2, amps)
+        base[0] = value
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            CALLER_AMPLITUDE_READERS[reader](psi)
 
 
-def test_the_oracles_check_only_writable_amplitudes(monkeypatch):
-    # svmem's own states are frozen and finite: the oracles make no pass over them
+OWN_STATES = {
+    "encode": lambda: encode("BZ"),
+    "kron": lambda: kron(encode("B"), encode("O")),
+    "uniform_state": lambda: uniform_state(2),
+    "run final_state": lambda: run(needle(1, 2)).final_state,
+    "state file": lambda: StateVector.from_json_text(
+        StateVector(2, np.array([1, 2j, 0, -3])).to_json_text() + "\n"),
+}
+
+
+def _caller_states(values):
+    """States over copies of values: writable, read-only, and a read-only view of a writable base."""
+    writable, frozen, base = (np.array(values, complex) for _ in range(3))
+    frozen.setflags(write=False)
+    view = base[:]
+    view.setflags(write=False)
+    return [StateVector(2, amps) for amps in (writable, frozen, view)]
+
+
+def test_only_a_callers_amplitudes_get_a_finiteness_pass(monkeypatch):
+    # built before the patch, so construction's own check is not counted
+    own = [build() for build in OWN_STATES.values()]
+    callers = _caller_states([1, 2j, 0, -3])
     checked = []
-    monkeypatch.setattr(oracle, "_check_finite", checked.append)
-    own = kron(encode("BB"), encode("Z"))
-    apply_phase(parse("a", ["a", "b", "c"]), own)
-    apply_marking(needle(1, 2), own)
-    replay_circuit(emit_circuit(needle(1, 2)), own)
-    assert checked == []
-    caller = StateVector(3, own.amps.copy())
-    apply_phase(parse("a", ["a", "b", "c"]), caller)
-    apply_marking(needle(1, 2), caller)
-    replay_circuit(emit_circuit(needle(1, 2)), caller)
-    assert [amps is caller.amps for amps in checked] == [True] * 3
+    monkeypatch.setattr(statevec, "_check_finite", checked.append)
+    for name, reader in CALLER_AMPLITUDE_READERS.items():
+        for psi in own:  # svmem's own, frozen and finite: read as they are
+            reader(psi)
+        assert checked == [], name
+        for psi in callers:
+            reader(psi)
+            # one pass, on the caller's array; a readout's finite sum is its check
+            assert len(checked) == (0 if name in READOUTS else 1), name
+            assert all(amps is psi.amps for amps in checked), name
+            checked.clear()
 
 
 # --- one size cap for every entry point ----------------------------------------
