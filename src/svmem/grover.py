@@ -17,6 +17,7 @@ import numpy as np
 
 from .boolfn import BoolFn
 from .errors import NoSolutionError
+from .memory import cam_match
 from .oracle import apply_phase
 from .statevec import (
     DEFAULT_QUBIT_CAP,
@@ -159,7 +160,7 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> dict[int, 
 
 @dataclass
 class GroverReport:
-    """Outcome of one amplification run, with the final state attached."""
+    """Outcome of one amplification run; simulated_success is cam_match(final_state, f), in [0, 1]."""
 
     n: int
     marked: int
@@ -210,9 +211,9 @@ def run(
 ) -> GroverReport:
     """Amplify the states f marks and report predicted vs simulated success.
 
-    iterations may be an explicit count or AUTO for the optimum. With
-    shots > 0, basis indices are sampled from the exact final
-    distribution, reproducibly for a given seed.
+    simulated_success is cam_match of the final state. iterations may be an
+    explicit count or AUTO for the optimum. With shots > 0, basis indices are
+    sampled from the exact final distribution, reproducibly for a given seed.
     """
     marked = int(f.table.sum())
     size = 1 << f.n
@@ -226,15 +227,13 @@ def run(
     seed = _check_seed(seed)  # the report prints it, with or without shots
 
     psi = _iterate(f, k)
-    probs = probabilities(psi)
-    simulated = float(probs[f.table].sum())
-    samples = sample_counts(probs, shots, seed) if shots else {}
+    samples = sample_counts(probabilities(psi), shots, seed) if shots else {}
     return GroverReport(
         n=f.n,
         marked=marked,
         iterations=k,
         predicted_success=predicted,
-        simulated_success=simulated,
+        simulated_success=cam_match(psi, f),
         seed=seed,
         shots=shots,
         samples=samples,

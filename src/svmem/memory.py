@@ -169,34 +169,41 @@ def pattern_for(word: Sequence[int] | np.ndarray) -> tuple[Factor, ...] | None:
     return tuple(factors)
 
 
+def _readout(psi: StateVector, where: int | np.ndarray) -> float:
+    """Chance that a marking oracle's auxiliary reads 1 for where, an address or a truth table.
+
+    The weight gathered at where over the squared norm if at most 1/2 or exactly 1,
+    else 1 minus the weight outside where over it: so in [0, 1], exactly 0 for a
+    support outside where, exactly 1 for one inside (squared norm >= 2^-1022).
+    """
+    total = _readout_norm_squared(psi)
+    inside = float(np.square(np.abs(psi.amps[where])).sum() / total)
+    if inside <= 0.5 or inside == 1.0:
+        return inside
+    weights = np.abs(psi.amps)
+    weights[where] = 0.0  # one array, not a gather of the complement
+    return max(0.0, 1.0 - float(np.square(weights, out=weights).sum() / total))
+
+
 @_arithmetic
 def ram_read(
     psi: StateVector, k: int, eps: float = DEFAULT_SUPPORT_EPS
 ) -> tuple[int, float]:
-    """One addressed bit of the stored word, plus its readout probability.
-
-    The probability |amps[k]|^2 / norm^2 is exactly the chance that the
-    auxiliary qubit reads 1 after the marking oracle of needle(k, n).
-    """
+    """One addressed bit of the stored word, and its probability: cam_match(psi, needle(k, n))."""
     k = check_index(k, psi.n, "address")
     check_tolerance(eps)
-    total = _readout_norm_squared(psi)
-    magnitude = abs(psi.amps[k])
-    return (1 if magnitude > eps else 0, float(magnitude**2 / total))
+    return (1 if abs(psi.amps[k]) > eps else 0, _readout(psi, k))
 
 
 @_arithmetic
 def cam_match(psi: StateVector, f: BoolFn) -> float:
-    """Probability that f's marking-oracle auxiliary reads 1 on this state.
+    """Probability that f's marking-oracle auxiliary reads 1 on this state, in [0, 1].
 
-    About 1 for a support inside f's truth set; exactly 1 if the weights sum exactly, as encoded ones do.
+    Exactly 1 for a support inside f's truth set, exactly 0 for one outside; see _readout.
     """
     if f.n != psi.n:
         raise ShapeError(f"function on {f.n} inputs got a {psi.n}-qubit state")
-    total = _readout_norm_squared(psi)
-    # the truth set's amplitudes only, gathered before any arithmetic
-    weights = np.abs(psi.amps[f.table]) ** 2
-    return float(weights.sum() / total)
+    return _readout(psi, f.table)
 
 
 @_arithmetic

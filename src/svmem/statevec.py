@@ -185,7 +185,7 @@ class StateVector:
     def to_json_dict(self) -> dict:
         """JSON form: {"n": n, "amps": [[re, im], ...]} in basis-index order."""
         # complex128 is a (re, im) float64 pair in memory
-        pairs = np.ascontiguousarray(self.amps).view(np.float64).reshape(-1, 2)
+        pairs = np.ascontiguousarray(_amps(self)).view(np.float64).reshape(-1, 2)
         return {"n": self.n, "amps": pairs.tolist()}
 
     def to_json_text(self) -> str:
@@ -267,7 +267,7 @@ def support(psi: StateVector, eps: float = DEFAULT_SUPPORT_EPS) -> set[int]:
 def _readout_norm_squared(psi: StateVector) -> float:
     """The squared norm every readout probability divides by, checked once.
 
-    Package-internal: probabilities, ram_read and cam_match share it. An
+    Package-internal: probabilities and memory._readout share it. An
     owned state keeps the checked value and reuses it; any other state is
     summed again on every call. A finite sum proves every amplitude finite,
     so only a sum that is not finite checks them: an inf or NaN in a

@@ -4,10 +4,11 @@ import io
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from svmem.cli import main as cli_main
-from svmem.statevec import encode
+from svmem.statevec import encode, norm_squared
 
 
 @pytest.fixture
@@ -39,3 +40,29 @@ def traced_peak(call):
         return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def readout_reference(psi, table):
+    """The readout rule from every weight: the gathered sum over the norm, or 1 minus the rest."""
+    weights = np.abs(psi.amps) ** 2
+    total = norm_squared(psi)
+    inside = float(weights[table].sum() / total)
+    if inside <= 0.5 or inside == 1.0:
+        return inside
+    return max(0.0, 1.0 - float(np.where(table, 0.0, weights).sum() / total))
+
+
+def float_bits(x):
+    """The eight bytes of x as a double."""
+    return np.float64(x).tobytes()
+
+
+def within_summing_error(reading, reference, n):
+    """True if reading is within 4 ulps of reference, plus 2^n machine epsilons.
+
+    The readout's two branches differ by (total - inside - outside) / total:
+    the squared norm and the weights are summed apart, and a sum of 2^n terms
+    may round by 2^n epsilons of itself (tens of ulps are seen at n = 10 on
+    states of one repeated complex amplitude, where the roundings add up).
+    """
+    return abs(reading - reference) <= 4 * np.spacing(reference) + (1 << n) * np.finfo(float).eps

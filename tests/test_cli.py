@@ -454,6 +454,35 @@ def test_overflowing_norm_is_a_json_error(run_cli, tmp_path, argv):
     assert err.startswith("svmem: error:")
 
 
+WHOLLY_INSIDE = {
+    "one amplitude": {"n": 1, "amps": [[0.412, 1.043], [0.0, 0.0]]},
+    "four real": {"n": 2, "amps": [[0.1, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]},
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("one amplitude", ["read", "0"]), ("one amplitude", ["cam", "needle:0"]),
+     ("four real", ["cam", "expr:a + a'"])],
+)
+def test_a_state_wholly_inside_prints_probability_one(run_cli, tmp_path, name, argv):
+    # the gathered weight and the norm round apart (1.0000000000000002);
+    # the reading comes from the weight outside, which is exactly 0
+    path = tmp_path / "inside.json"
+    path.write_text(json.dumps(WHOLLY_INSIDE[name]))
+    code, out, _ = run_cli([argv[0], str(path), *argv[1:]])
+    assert code == 0
+    assert _json(out)["probability"] == 1.0
+
+
+def test_grover_on_every_state_prints_success_one(run_cli):
+    # the marked weight rounds above the norm (1.0000000000000004); every
+    # state is marked, so the weight outside is exactly 0
+    code, out, _ = run_cli(["grover", "expr:1", "-n", "9", "--iters", "1"])
+    assert code == 0
+    assert _json(out)["simulated_success"] == 1.0
+
+
 @pytest.mark.parametrize("argv", [["read", "0"], ["cam", "needle:0"]])
 def test_deeply_nested_state_file_is_a_json_error(run_cli, tmp_path, argv):
     # json recurses once per bracket, so this ends in a RecursionError inside json

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import float_bits, readout_reference, traced_peak, within_summing_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +19,7 @@ from svmem.grover import (
     sample_counts,
     uniform_state,
 )
+from svmem.memory import cam_match
 from svmem.oracle import apply_phase
 from svmem.statevec import StateVector, norm_squared, probabilities
 
@@ -223,8 +224,30 @@ def test_run_is_the_public_reference_loop_byte_for_byte(data, n, seed):
         psi = diffusion(apply_phase(f, psi))
     report = run(f, iterations=k)
     assert report.final_state.amps.tobytes() == psi.amps.tobytes()
-    assert report.simulated_success == float(probabilities(psi)[f.table].sum())
+    assert float_bits(report.simulated_success) == float_bits(cam_match(psi, f))
     assert report.final_state.amps.flags.writeable is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_simulated_success_is_the_readout_of_the_final_state(data, n, seed):
+    # in [0, 1] and exactly 1 when f marks every state; elsewhere the bits
+    # of the weight summed over the marked states, or within summing error of them
+    size = 1 << n
+    marked = data.draw(st.one_of(st.just(size), st.integers(1, size)), label="M")
+    f = _random_marked(np.random.default_rng(seed), n, marked)
+    k = data.draw(st.integers(0, optimal_iterations(size, marked) + 2), label="k")
+    report = run(f, iterations=k)
+    psi, success = report.final_state, report.simulated_success
+    summed = float((np.abs(psi.amps) ** 2)[f.table].sum() / norm_squared(psi))
+    assert 0.0 <= success <= 1.0
+    assert float_bits(success) == float_bits(readout_reference(psi, f.table))
+    if marked == size:
+        assert success == 1.0
+    elif summed <= 0.5 or summed == 1.0:
+        assert float_bits(success) == float_bits(summed)
+    else:
+        assert within_summing_error(success, summed, n)
 
 
 def test_run_matches_closed_form_over_grid():

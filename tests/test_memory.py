@@ -6,12 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import float_bits, readout_reference, traced_peak, within_summing_error
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from svmem import memory
-from svmem.boolfn import BoolFn, from_minterms, needle, parse, truth_set
+from svmem.boolfn import BoolFn, default_var_names, from_minterms, needle, parse, truth_set
 from svmem.errors import DegenerateStateError, ResourceLimitError, ShapeError
 from svmem.grover import uniform_state
 from svmem.memory import (
@@ -307,7 +307,7 @@ def test_cam_match_equals_marking_aux_route():
 
 
 # parts whose squares underflow or round to subnormals, and large ones
-# whose squares stay finite summed over 2^9 parts
+# whose squares stay finite summed over 2^11 parts
 CAM_PARTS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -1e-160, 1e-200, 1e150]),
     st.floats(-1e150, 1e150),
@@ -317,15 +317,75 @@ CAM_PARTS = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.integers(1, 8))
 def test_cam_match_gathers_the_same_weights_as_squaring_them_all(data, n):
-    # every amplitude squared, then the truth set selected: the same
-    # elements in the same order, so the sum has the same bits
+    # every amplitude squared, then the truth set selected or zeroed: the
+    # same elements in the same order, so each sum has the same bits
     parts = np.array(data.draw(st.lists(CAM_PARTS, min_size=2 << n, max_size=2 << n)))
     psi = StateVector(n, parts.view(complex))
     f = BoolFn(n, data.draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n)))
+    assume(norm_squared(psi) > 0.0)  # else cam_match raises
+    assert float_bits(cam_match(psi, f)) == float_bits(readout_reference(psi, f.table))
+
+
+# Below this squared norm, rounding the weights onto the subnormal grid can
+# move a reading by far more than an ulp; above it that error is under 2^-60
+# of the norm for n <= 10, and a reading is exact at 1 from 2^-1022 up.
+WELL_NORMAL = 2.0**-1000
+
+TABLE_KINDS = ["empty", "full", "support", "around support", "off support", "random"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.lists(CAM_PARTS, min_size=1, max_size=12),
+    st.sampled_from([0.0, 0.5, 0.99]),
+    st.sampled_from(TABLE_KINDS),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_readout_lies_in_the_unit_interval_and_is_exact_at_both_ends(
+    n, pool, zeros, kind, seed
+):
+    rng = np.random.default_rng(seed)
+    parts = rng.choice(np.array(pool), 2 << n)
+    amps = parts.view(complex)
+    amps[rng.random(1 << n) < zeros] = 0.0
+    psi = StateVector(n, amps)
     total = norm_squared(psi)
-    assume(total > 0.0)  # else cam_match raises
-    expected = (np.abs(psi.amps) ** 2)[f.table].sum() / total
-    assert np.float64(cam_match(psi, f)).tobytes() == np.float64(expected).tobytes()
+    assume(total > 0.0)  # else every readout raises
+    held = amps != 0
+    drawn = rng.random(1 << n) < 0.5
+    table = {
+        "empty": np.zeros(1 << n, bool), "full": np.ones(1 << n, bool), "support": held,
+        "around support": held | drawn, "off support": drawn & ~held, "random": drawn,
+    }[kind]
+    reading = cam_match(psi, BoolFn(n, table))
+    # the weight inside over the norm: the reading itself up to 1/2 and at 1
+    summed = float((np.abs(psi.amps) ** 2)[table].sum() / total)
+    assert 0.0 <= reading <= 1.0
+    if not (table & held).any():
+        assert float_bits(reading) == float_bits(0.0)
+    elif not (held & ~table).any() and total >= 2.0**-1022:
+        assert reading == 1.0
+    elif summed <= 0.5 or summed == 1.0:
+        assert float_bits(reading) == float_bits(summed)
+    elif total >= WELL_NORMAL:
+        assert within_summing_error(reading, summed, n)
+    k = int(rng.integers(1 << n))
+    probability = ram_read(psi, k)[1]
+    assert float_bits(probability) == float_bits(cam_match(psi, needle(k, n)))
+    assert float_bits(probability) == float_bits(readout_reference(psi, needle(k, n).table))
+
+
+def test_a_readout_of_weights_on_the_subnormal_grid_stays_in_the_unit_interval():
+    # x^2 rounds to 0 in the norm, while |x + xj|^2 = 0.8 * 2^-1074 rounds
+    # to 2^-1074: the gathered weight is twice the norm, and so is the rest
+    x, z = math.sqrt(0.4) * 2.0**-537, 2.0**-537
+    psi = StateVector(2, [complex(x, x), complex(x, x), complex(z, 0), complex(x, x)])
+    assert norm_squared(psi) == 2.0**-1074
+    assert cam_match(psi, BoolFn(2, [1, 1, 0, 0])) == 0.0  # 1 - 2, held at 0
+    assert cam_match(psi, BoolFn(2, [1, 0, 0, 0])) == 1.0  # a weight equal to the norm reads as it is
+    assert cam_match(psi, BoolFn(2, [1, 1, 1, 1])) == 1.0
+    assert cam_match(psi, BoolFn(2, [0, 0, 0, 0])) == 0.0
 
 
 def test_cam_match_of_a_needle_holds_no_state_sized_array():
@@ -336,6 +396,16 @@ def test_cam_match_of_a_needle_holds_no_state_sized_array():
     probability, peak = traced_peak(lambda: cam_match(psi, f))
     assert probability == 2.0**-18
     assert peak < 0.1 * psi.amps.nbytes
+
+
+def test_cam_match_of_a_wide_truth_set_holds_at_most_its_gather():
+    # 3/4 of the state gathered and its magnitudes (1.125x the state), then,
+    # as the reading is 3/4, one float64 array of the weights outside (0.5x)
+    psi = uniform_state(18)
+    f = parse("a + b", default_var_names(18))
+    probability, peak = traced_peak(lambda: cam_match(psi, f))
+    assert probability == 0.75
+    assert peak <= 1.2 * psi.amps.nbytes
 
 
 # --- recognizes --------------------------------------------------------------------------

@@ -414,6 +414,8 @@ CALLER_AMPLITUDE_READERS = {
     "probabilities": probabilities,
     "ram_read": lambda psi: ram_read(psi, 1),
     "cam_match": lambda psi: cam_match(psi, needle(0, 2)),
+    "to_json_text": lambda psi: psi.to_json_text(),
+    "to_json_dict": lambda psi: psi.to_json_dict(),
 }
 # the readers that divide by the squared norm: a finite sum proves the amplitudes finite
 READOUTS = {"probabilities", "ram_read", "cam_match"}
@@ -798,7 +800,11 @@ def test_to_json_text_matches_reference(n, seed, pool_size, all_distinct, view, 
     psi = StateVector(n, VIEWS[view](values.view(np.complex128).reshape(-1), n))
     for k, value, imaginary in nonfinite:  # written in place, past the finiteness check
         psi.amps[k % (1 << n)] = complex(0.0, value) if imaginary else complex(value, 0.0)
-    assert psi.to_json_text() == reference_to_json_text(psi)
+    if nonfinite:  # refused at the save, as at every read of a caller's amplitudes
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            psi.to_json_text()
+    else:
+        assert psi.to_json_text() == reference_to_json_text(psi)
 
 
 # [re, im] bodies written over pairs of a canonical file; only the first few
