@@ -1,10 +1,9 @@
 """Treating encoded state vectors as bit memory.
 
-A register stores the 2^n-bit word given by its support. Single bits
-come back through needle functions (RAM view); whole-word recognition
-goes through arbitrary Boolean functions (CAM view). Probabilities are
-computed exactly from amplitudes rather than by sampling an auxiliary
-qubit; the oracle module proves the two routes agree.
+A register stores the 2^n-bit word given by its support. Single bits come
+back through needle functions (RAM view), whole words through arbitrary
+Boolean functions (CAM view). Probabilities come from the amplitudes' weights,
+not from sampling an auxiliary qubit; the oracle module proves the two agree.
 
 Capacity counting is exact big-integer arithmetic throughout: a word is
 storable iff its set bits form a subcube, and the per-i counts are
@@ -31,6 +30,7 @@ from .statevec import (
     _amps,
     _arithmetic,
     _readout_norm_squared,
+    _summed_weights,
     check_cap,
     check_count,
     check_index,
@@ -172,17 +172,16 @@ def pattern_for(word: Sequence[int] | np.ndarray) -> tuple[Factor, ...] | None:
 def _readout(psi: StateVector, where: int | np.ndarray) -> float:
     """Chance that a marking oracle's auxiliary reads 1 for where, an address or a truth table.
 
-    The weight gathered at where over the squared norm if at most 1/2 or exactly 1,
-    else 1 minus the weight outside where over it: so in [0, 1], exactly 0 for a
-    support outside where, exactly 1 for one inside (squared norm >= 2^-1022).
+    The weight gathered at where over the squared norm if at most 1/2 or exactly 1, else 1 minus
+    the weight outside, summed in the norm's own chunks: in [0, 1], and exact at 0 and at 1.
     """
     total = _readout_norm_squared(psi)
-    inside = float(np.square(np.abs(psi.amps[where])).sum() / total)
+    inside = _summed_weights(np.atleast_1d(psi.amps[where])) / total
     if inside <= 0.5 or inside == 1.0:
         return inside
-    weights = np.abs(psi.amps)
-    weights[where] = 0.0  # one array, not a gather of the complement
-    return max(0.0, 1.0 - float(np.square(weights, out=weights).sum() / total))
+    zeroed = np.zeros(psi.amps.size, dtype=bool)
+    zeroed[where] = True
+    return 1.0 - _summed_weights(psi.amps, zeroed) / total
 
 
 @_arithmetic
@@ -192,7 +191,7 @@ def ram_read(
     """One addressed bit of the stored word, and its probability: cam_match(psi, needle(k, n))."""
     k = check_index(k, psi.n, "address")
     check_tolerance(eps)
-    return (1 if abs(psi.amps[k]) > eps else 0, _readout(psi, k))
+    return (1 if np.abs(psi.amps[k]) > eps else 0, _readout(psi, k))
 
 
 @_arithmetic

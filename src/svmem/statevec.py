@@ -1,24 +1,18 @@
 """Unnormalized complex state vectors built from per-qubit init choices.
 
-Bit order: qubit 0, the first tensor factor, is the MOST significant bit
-of the basis index, so (1 0) ⊗ (1 0) ⊗ (1 1) puts its two nonzero
-amplitudes at indices 0 and 1. The opposite convention is common in
-other simulators; everything in this package assumes this one.
+Bit order: qubit 0, the first tensor factor, is the MOST significant bit of
+the basis index, so (1 0) ⊗ (1 0) ⊗ (1 1) puts its two nonzero amplitudes at
+indices 0 and 1: the opposite of many simulators, and assumed package-wide.
 
-States are kept unnormalized on purpose: encoding produces exact 0/1
-amplitudes, and only the readouts (`probabilities` here, RAM and CAM
-reads in memory) divide by the squared norm, checked in one place.
+States are kept unnormalized: only the readouts divide, each weight re*re +
+im*im of one array (`_weights`) over their in-order chunk sum (`norm_squared`).
 
-One trust rule covers every read of amplitudes. A state this package
-returns holds read-only amplitudes that it allocated and built finite
-(`StateVector._adopt`); while it holds that array (`_owned`), they are
-read as they are, and a readout keeps its squared norm after one sum
-(`encode` hands over its exact norm). Any other array, as in a caller's
-`StateVector(n, arr)`, which keeps arr as given, may have changed since
-it was checked: `_amps` checks it again on every read, and a readout
-sums its norm every time. Unsupported: thawing a returned array, writing
-into it and freezing it again, which leaves both the trust and the kept
-norm stale.
+One trust rule covers every read of amplitudes. A state this package returns
+holds read-only finite amplitudes that it allocated (`_adopt`): while it holds
+that array (`_owned`), they are read as they are, and a readout keeps its squared
+norm after one sum. Any other array, as in a caller's `StateVector(n, arr)`, is
+checked on every read (`_amps`) and summed by every readout. Unsupported: thawing
+a returned array, writing into it and freezing it again (trust and norm go stale).
 
 One floating-point policy, `_arithmetic`, covers each function whose arithmetic
 on finite amplitudes can raise a flag: an underflow rounds, and an overflow or
@@ -167,12 +161,10 @@ class StateVector:
     def _adopt(cls, n: int, amps: np.ndarray, total: float | None = None) -> StateVector:
         """Package-internal: the state over amps, 2^n complex128 values svmem just allocated.
 
-        No copy and no checks: the caller has built amps in shape and finite,
-        from checked inputs, under _arithmetic wherever they can overflow. amps
-        and every array on its .base chain are svmem's own temporaries, and are
-        frozen here, so the state is owned: read unchecked, its norm kept. A
-        caller that knows it exactly, bit for bit as norm_squared would sum it,
-        and nonzero, passes it as total, and no readout sums it.
+        No copy and no checks: the caller built amps in shape and finite, under
+        _arithmetic wherever they can overflow. amps and its .base chain are frozen
+        here, so the state is owned. A caller that knows the nonzero norm_squared
+        bit for bit passes it as total, and no readout sums it.
         """
         base = amps
         while isinstance(base, np.ndarray):
@@ -243,18 +235,37 @@ def kron(a: StateVector, b: StateVector) -> StateVector:
     return StateVector._adopt(a.n + b.n, np.kron(_amps(a), _amps(b)))
 
 
-# Amplitudes per np.vdot in norm_squared: OpenBLAS runs a dot product of
-# at most 10000 elements on one thread, so each chunk's sum, and their sum
-# in order, is the same on any BLAS thread count.
-_NORM_CHUNK = 8192
+# Amplitudes per chunk of weights. norm_squared and a readout's outside sum
+# add the same chunks in the same order, and each numpy chunk sum and the
+# Python sum after it are monotone in every weight: a sum with weights zeroed
+# never exceeds the whole. No temporary outgrows one chunk.
+_CHUNK = 8192
+
+
+def _weights(amps: np.ndarray) -> np.ndarray:
+    """|a|^2 of every amplitude as re*re + im*im in float64: the one array behind every readout."""
+    weights = np.square(amps.real)
+    return np.add(weights, np.square(amps.imag), out=weights)
+
+
+@_arithmetic
+def _summed_weights(amps: np.ndarray, zeroed: np.ndarray | None = None) -> float:
+    """The weights of amps summed by chunks in order, those where the bool array zeroed is True as 0."""
+    total = 0.0
+    for start in range(0, amps.size, _CHUNK):
+        weights = _weights(amps[start:start + _CHUNK])
+        if zeroed is not None:
+            weights[zeroed[start:start + _CHUNK]] = 0.0
+        total += float(weights.sum())  # a Python float, which overflows to inf with no flag
+    return total
 
 
 def norm_squared(psi: StateVector) -> float:
-    """Sum of squared amplitude magnitudes, the same bits on any BLAS thread count."""
-    amps = psi.amps
-    chunks = (amps[k:k + _NORM_CHUNK] for k in range(0, amps.size, _NORM_CHUNK))
-    # Python floats, which overflow to inf with no numpy warning
-    return sum(float(np.vdot(chunk, chunk).real) for chunk in chunks)
+    """Sum of the amplitudes' weights re*re + im*im, by chunks in order; inf if it overflows a double."""
+    try:
+        return _summed_weights(psi.amps)
+    except ValueError:  # the policy's report of a weight or chunk sum that overflowed
+        return math.inf
 
 
 @_arithmetic
@@ -265,14 +276,9 @@ def support(psi: StateVector, eps: float = DEFAULT_SUPPORT_EPS) -> set[int]:
 
 
 def _readout_norm_squared(psi: StateVector) -> float:
-    """The squared norm every readout probability divides by, checked once.
+    """The squared norm every readout divides by: kept by an owned state, else summed per call.
 
-    Package-internal: probabilities and memory._readout share it. An
-    owned state keeps the checked value and reuses it; any other state is
-    summed again on every call. A finite sum proves every amplitude finite,
-    so only a sum that is not finite checks them: an inf or NaN in a
-    caller's array raises ValueError("amplitudes must be finite"), and
-    otherwise, as always on an owned state, the sum overflowed.
+    A finite sum proves the amplitudes finite, so only a sum that is not finite checks them.
     """
     owned = _owned(psi)
     if owned and psi._adopted[1] is not None:
@@ -290,6 +296,6 @@ def _readout_norm_squared(psi: StateVector) -> float:
 
 @_arithmetic
 def probabilities(psi: StateVector) -> np.ndarray:
-    """Measurement distribution |amps|^2 / norm_squared, as a float array."""
-    total = _readout_norm_squared(psi)
-    return np.abs(psi.amps) ** 2 / total
+    """Measurement distribution: each weight over their sum, so every entry lies in [0, 1]."""
+    total = _readout_norm_squared(psi)  # first: it refuses what _weights would overflow on
+    return _weights(psi.amps) / total

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from svmem.cli import main as cli_main
-from svmem.statevec import encode, norm_squared
+from svmem.statevec import encode
 
 
 @pytest.fixture
@@ -42,14 +42,31 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+# amplitudes per chunk of statevec's in-order sums
+NORM_CHUNK = 8192
+
+
+def weights_of(amps):
+    """|a|^2 of every amplitude as re*re + im*im, each step correctly rounded."""
+    return amps.real * amps.real + amps.imag * amps.imag
+
+
+def chunk_sums(weights):
+    """The weights added chunk by chunk in order, each chunk by numpy's sum."""
+    total = 0.0
+    for start in range(0, len(weights), NORM_CHUNK):
+        total += float(weights[start:start + NORM_CHUNK].sum())
+    return total
+
+
 def readout_reference(psi, table):
-    """The readout rule from every weight: the gathered sum over the norm, or 1 minus the rest."""
-    weights = np.abs(psi.amps) ** 2
-    total = norm_squared(psi)
-    inside = float(weights[table].sum() / total)
+    """The readout rule from one weights array: the gathered sum over the norm, or 1 minus the rest."""
+    weights = weights_of(psi.amps)
+    total = chunk_sums(weights)
+    inside = chunk_sums(weights[table]) / total
     if inside <= 0.5 or inside == 1.0:
         return inside
-    return max(0.0, 1.0 - float(np.where(table, 0.0, weights).sum() / total))
+    return 1.0 - chunk_sums(np.where(table, 0.0, weights)) / total
 
 
 def float_bits(x):

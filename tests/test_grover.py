@@ -1,10 +1,18 @@
 """Amplification driver: initialization, diffusion, counts, and reports."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import float_bits, readout_reference, traced_peak, within_summing_error
+from conftest import (
+    chunk_sums,
+    float_bits,
+    readout_reference,
+    traced_peak,
+    weights_of,
+    within_summing_error,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -239,7 +247,7 @@ def test_simulated_success_is_the_readout_of_the_final_state(data, n, seed):
     k = data.draw(st.integers(0, optimal_iterations(size, marked) + 2), label="k")
     report = run(f, iterations=k)
     psi, success = report.final_state, report.simulated_success
-    summed = float((np.abs(psi.amps) ** 2)[f.table].sum() / norm_squared(psi))
+    summed = chunk_sums(weights_of(psi.amps)[f.table]) / norm_squared(psi)
     assert 0.0 <= success <= 1.0
     assert float_bits(success) == float_bits(readout_reference(psi, f.table))
     if marked == size:
@@ -260,6 +268,41 @@ def test_run_matches_closed_form_over_grid():
             for k in {0, 1, k_max, max(k_max - 1, 0)}:
                 report = run(f, iterations=k)
                 assert abs(report.simulated_success - report.predicted_success) <= 1e-9
+
+
+def _exact_amplitudes(n, m, k):
+    """The marked and unmarked amplitudes after k iterations, in exact arithmetic.
+
+    From the double 1/sqrt(N), a dyadic rational, every step is exact on
+    rationals: negating the marked value, the mean over N = 2^n, and 2*mean - a.
+    """
+    size = 1 << n
+    inside = outside = Fraction(1.0 / math.sqrt(size))
+    for _ in range(k):
+        mean = (-m * inside + (size - m) * outside) / size
+        inside, outside = 2 * mean + inside, 2 * mean - outside
+    return inside, outside
+
+
+# the most any final amplitude of run may differ from the exact one, in units
+# of ulp(1/sqrt(N)), per n, over M in {1, 2, 3, N/4} and every k up to AUTO:
+# the measured worst, rounded up
+GROVER_DRIFT_ULPS = {1: 0, 2: 0, 3: 1, 4: 0, 5: 4, 6: 0, 7: 13, 8: 5}
+
+
+def test_final_amplitudes_stay_within_a_fixed_drift_of_the_exact_algorithm():
+    for n, bound in GROVER_DRIFT_ULPS.items():
+        size = 1 << n
+        ulp = Fraction(float(np.spacing(1.0 / math.sqrt(size))))
+        for m in sorted({1, 2, 3, size // 4} & set(range(1, size + 1))):
+            f = _random_marked(np.random.default_rng([n, m]), n, m)
+            for k in range(optimal_iterations(size, m) + 1):
+                amps = run(f, iterations=k).final_state.amps
+                assert not amps.imag.any()
+                for values, exact in zip((amps.real[f.table], amps.real[~f.table]),
+                                         _exact_amplitudes(n, m, k)):
+                    for value in set(values.tolist()):
+                        assert abs(Fraction(value) - exact) <= bound * ulp, (n, m, k)
 
 
 def test_phase_plus_diffusion_preserves_norm():

@@ -12,12 +12,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import chunk_sums, float_bits, traced_peak, weights_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svmem import statefile, statevec
 from svmem.boolfn import (
+    BoolFn,
     count_functions,
     default_var_names,
     evaluate,
@@ -203,9 +204,9 @@ for n in range(13, 19):
 
 
 def test_norm_squared_bits_do_not_depend_on_blas_threads():
-    # OpenBLAS threads a dot product of more than about 10000 elements:
-    # one np.vdot over the whole state gave other bits on two threads than
-    # on one at n = 14, 15, 16 and 18 (2-core host)
+    # the norm is numpy's elementwise squares and pairwise sums, no BLAS call:
+    # a threaded BLAS dot product (OpenBLAS past about 10000 elements) gave
+    # other bits on two threads than on one at n = 14, 15, 16 and 18
     def bits(threads):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
                "OPENBLAS_NUM_THREADS": str(threads)}
@@ -216,6 +217,59 @@ def test_norm_squared_bits_do_not_depend_on_blas_threads():
     one = bits(1)
     assert one.count("\n") == 6
     assert bits(2) == one
+
+
+def test_norm_squared_adds_its_chunks_in_order():
+    # 2^13 amplitudes to a chunk: one chunk up to n = 13, then 2^(n-13) of them
+    for n in (12, 13, 14, 16):
+        rng = np.random.default_rng(n)
+        psi = StateVector(n, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+        assert float_bits(norm_squared(psi)) == float_bits(chunk_sums(weights_of(psi.amps)))
+
+
+def test_a_lone_amplitude_has_probability_exactly_one():
+    # |a|^2 from a hypot squared, over a norm from BLAS, gave 1.0000000000000002
+    psi = StateVector(1, [0.412 + 1.043j, 0])
+    assert probabilities(psi)[0] == 1.0
+    assert ram_read(psi, 0)[1] == 1.0
+
+
+# parts at the edges of the weights: signed zeros, subnormals, squares that
+# underflow, and large ones whose squares stay finite summed over 2^10 amplitudes
+WEIGHT_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, -1e-160, 1e150, -1e150]),
+    st.floats(-1e150, 1e150),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.lists(WEIGHT_PARTS, min_size=1, max_size=12),
+    st.sampled_from([0.0, 0.5, 0.99]),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_norm_and_every_probability_come_from_one_weights_array(n, pool, zeros, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.choice(np.array(pool), 2 << n).view(complex)
+    amps[rng.random(1 << n) < zeros] = 0.0
+    psi = StateVector(n, amps)
+    weights, total = weights_of(amps), norm_squared(psi)
+    assert float_bits(total) == float_bits(chunk_sums(weights))
+    if total == 0.0:
+        return
+    probs = probabilities(psi)
+    assert probs.tobytes() == (weights / total).tobytes()
+    assert ((0.0 <= probs) & (probs <= 1.0)).all()
+    # a support wholly inside a truth set reads exactly 1, at any positive norm
+    held = amps != 0
+    around = held | (rng.random(1 << n) < 0.5)
+    assert cam_match(psi, BoolFn(n, around)) == 1.0
+    k = int(np.argmax(weights))
+    lone = np.zeros(1 << n, complex)
+    lone[k] = amps[k]
+    assert probabilities(StateVector(n, lone))[k] == 1.0
+    assert ram_read(StateVector(n, lone), k)[1] == 1.0
 
 
 def test_support_values(zzb_state):
