@@ -58,6 +58,9 @@ class BoolFn:
     def __hash__(self):
         return hash((self.n, self.table.tobytes()))
 
+    def __reduce__(self):  # copies and pickles go back through the constructor, to a read-only table
+        return BoolFn, (self.n, self.table)
+
 
 def _bool_entries(entries) -> np.ndarray:
     """A fresh bool array of the entries, which must be bools or the numbers 0 and 1."""

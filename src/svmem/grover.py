@@ -146,6 +146,8 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> dict[int, 
     """Inverse-CDF draws from an exact distribution; returns index -> count."""
     shots = _check_shots(shots)
     seed = _check_seed(seed)
+    if np.ndim(probs) != 1 or not len(probs):  # the shape alone: no pass over the values
+        raise ValueError(f"probabilities must be a non-empty 1-D array, got shape {np.shape(probs)}")
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(probs)
     counts: Counter[int] = Counter()

@@ -172,16 +172,12 @@ def pattern_for(word: Sequence[int] | np.ndarray) -> tuple[Factor, ...] | None:
 def _readout(psi: StateVector, where: int | np.ndarray) -> float:
     """Chance that a marking oracle's auxiliary reads 1 for where, an address or a truth table.
 
-    The weight gathered at where over the squared norm if at most 1/2 or exactly 1, else 1 minus
-    the weight outside, summed in the norm's own chunks: in [0, 1], and exact at 0 and at 1.
+    Its weight over the squared norm, each summed in the norm's chunks and order: in [0, 1], exact at 0 and 1.
     """
     total = _readout_norm_squared(psi)
-    inside = _summed_weights(np.atleast_1d(psi.amps[where])) / total
-    if inside <= 0.5 or inside == 1.0:
-        return inside
-    zeroed = np.zeros(psi.amps.size, dtype=bool)
-    zeroed[where] = True
-    return 1.0 - _summed_weights(psi.amps, zeroed) / total
+    if isinstance(where, np.ndarray):
+        return _summed_weights(psi.amps, where) / total
+    return _summed_weights(psi.amps[where:where + 1]) / total
 
 
 @_arithmetic

@@ -127,16 +127,17 @@ def check_tolerance(eps: float) -> None:
         raise ValueError(f"eps must be positive, got {eps}")
 
 
-def parse_pattern(text: str) -> tuple[Factor, ...]:
-    """Turn a letter string like "ZZB" into a factor tuple."""
+_LETTERS = {factor.value: factor for factor in Factor}
+
+
+def parse_pattern(pattern: str | Iterable[Factor]) -> tuple[Factor, ...]:
+    """A factor tuple from a letter string like "ZZB" or from a sequence of Factors."""
     factors = []
-    for ch in text:
-        try:
-            factors.append(Factor(ch.upper()))
-        except ValueError:
-            raise ValueError(
-                f"bad pattern letter {ch!r}: use Z=(1 0), O=(0 1), B=(1 1)"
-            ) from None
+    for entry in pattern:
+        factor = _LETTERS.get(entry.upper()) if isinstance(pattern, str) else entry
+        if not isinstance(factor, Factor):
+            raise ValueError(f"bad pattern letter {entry!r}: use Z=(1 0), O=(0 1), B=(1 1)")
+        factors.append(factor)
     return tuple(factors)
 
 
@@ -202,7 +203,7 @@ def encode(pattern: str | Iterable[Factor]) -> StateVector:
     amplitudes that are exactly 0.0 or 1.0, with support of size 2^i
     where i counts the BOTH factors.
     """
-    factors = parse_pattern(pattern) if isinstance(pattern, str) else tuple(pattern)
+    factors = parse_pattern(pattern)
     n = len(factors)
     if n < 1:
         raise ValueError("init pattern needs at least one factor")
@@ -235,10 +236,11 @@ def kron(a: StateVector, b: StateVector) -> StateVector:
     return StateVector._adopt(a.n + b.n, np.kron(_amps(a), _amps(b)))
 
 
-# Amplitudes per chunk of weights. norm_squared and a readout's outside sum
-# add the same chunks in the same order, and each numpy chunk sum and the
-# Python sum after it are monotone in every weight: a sum with weights zeroed
-# never exceeds the whole. No temporary outgrows one chunk.
+# Amplitudes per chunk of weights. Every sum of weights adds the same chunks
+# in the same order, and each numpy chunk sum and the Python sum after it are
+# monotone in every weight: a sum that counts some weights as 0 never exceeds
+# the whole, and equals it when only zero weights are left out. No temporary
+# outgrows one chunk.
 _CHUNK = 8192
 
 
@@ -249,14 +251,15 @@ def _weights(amps: np.ndarray) -> np.ndarray:
 
 
 @_arithmetic
-def _summed_weights(amps: np.ndarray, zeroed: np.ndarray | None = None) -> float:
-    """The weights of amps summed by chunks in order, those where the bool array zeroed is True as 0."""
-    total = 0.0
+def _summed_weights(amps: np.ndarray, where: np.ndarray | None = None) -> float:
+    """The weights of amps summed by chunks in order, those the bool table where leaves unmarked as 0."""
+    total = 0.0  # a Python float, which overflows to inf with no flag
     for start in range(0, amps.size, _CHUNK):
-        weights = _weights(amps[start:start + _CHUNK])
-        if zeroed is not None:
-            weights[zeroed[start:start + _CHUNK]] = 0.0
-        total += float(weights.sum())  # a Python float, which overflows to inf with no flag
+        chunk = slice(start, start + _CHUNK)
+        if where is None:
+            total += float(_weights(amps[chunk]).sum())
+        elif where[chunk].any():  # else the chunk adds exactly 0.0, so it is skipped
+            total += float((_weights(amps[chunk]) * where[chunk]).sum())
     return total
 
 

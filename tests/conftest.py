@@ -60,26 +60,12 @@ def chunk_sums(weights):
 
 
 def readout_reference(psi, table):
-    """The readout rule from one weights array: the gathered sum over the norm, or 1 minus the rest."""
+    """The readout rule from one weights array: the chunk sum with weights off the table as 0, over the norm."""
     weights = weights_of(psi.amps)
-    total = chunk_sums(weights)
-    inside = chunk_sums(weights[table]) / total
-    if inside <= 0.5 or inside == 1.0:
-        return inside
-    return 1.0 - chunk_sums(np.where(table, 0.0, weights)) / total
+    return chunk_sums(np.where(table, weights, 0.0)) / chunk_sums(weights)
 
 
 def float_bits(x):
     """The eight bytes of x as a double."""
     return np.float64(x).tobytes()
 
-
-def within_summing_error(reading, reference, n):
-    """True if reading is within 4 ulps of reference, plus 2^n machine epsilons.
-
-    The readout's two branches differ by (total - inside - outside) / total:
-    the squared norm and the weights are summed apart, and a sum of 2^n terms
-    may round by 2^n epsilons of itself (tens of ulps are seen at n = 10 on
-    states of one repeated complex amplitude, where the roundings add up).
-    """
-    return abs(reading - reference) <= 4 * np.spacing(reference) + (1 << n) * np.finfo(float).eps

@@ -1,6 +1,8 @@
 """Truth tables: constructors, the expression parser, and counting."""
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -377,3 +379,15 @@ def test_boolfn_table_is_immutable():
     f = needle(0, 2)
     with pytest.raises(ValueError):
         f.table[0] = 0
+
+
+def test_copies_of_a_function_keep_a_read_only_table():
+    f = needle(1, 2)
+    copies = [copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
+    for g in copies:
+        assert g == f and hash(g) == hash(f)
+        assert g.table.dtype == bool
+        with pytest.raises(ValueError):
+            g.table[0] = True
+        assert g == f and hash(g) == hash(f)
+    assert copy.deepcopy([f, f])[0].table is not f.table

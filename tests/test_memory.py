@@ -6,14 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (
-    chunk_sums,
-    float_bits,
-    readout_reference,
-    traced_peak,
-    weights_of,
-    within_summing_error,
-)
+from conftest import float_bits, readout_reference, traced_peak
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -336,8 +329,8 @@ CAM_PARTS = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.integers(1, 8))
 def test_cam_match_gathers_the_same_weights_as_squaring_them_all(data, n):
-    # every amplitude squared, then the truth set selected or zeroed: the
-    # same elements in the same order, so each sum has the same bits
+    # every amplitude squared, then the weights off the truth set zeroed:
+    # the same elements in the same order, so each sum has the same bits
     parts = np.array(data.draw(st.lists(CAM_PARTS, min_size=2 << n, max_size=2 << n)))
     psi = StateVector(n, parts.view(complex))
     f = BoolFn(n, data.draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n)))
@@ -373,17 +366,12 @@ def test_a_readout_lies_in_the_unit_interval_and_is_exact_at_both_ends(
         "around support": held | drawn, "off support": drawn & ~held, "random": drawn,
     }[kind]
     reading = cam_match(psi, BoolFn(n, table))
-    # the weight inside over the norm: the reading itself up to 1/2 and at 1
-    summed = chunk_sums(weights_of(psi.amps)[table]) / total
     assert 0.0 <= reading <= 1.0
+    assert float_bits(reading) == float_bits(readout_reference(psi, table))
     if not (table & held).any():
         assert float_bits(reading) == float_bits(0.0)
     elif not (held & ~table).any():
-        assert reading == 1.0
-    elif summed <= 0.5 or summed == 1.0:
-        assert float_bits(reading) == float_bits(summed)
-    else:
-        assert within_summing_error(reading, summed, n)
+        assert float_bits(reading) == float_bits(1.0)
     k = int(rng.integers(1 << n))
     probability = ram_read(psi, k)[1]
     assert float_bits(probability) == float_bits(cam_match(psi, needle(k, n)))
@@ -405,8 +393,7 @@ def test_a_readout_of_weights_on_the_subnormal_grid_stays_in_the_unit_interval()
 
 
 def test_cam_match_of_a_needle_holds_no_state_sized_array():
-    # the one marked amplitude is gathered before np.abs (measured 0.5x the
-    # state when every amplitude was squared first)
+    # weights one chunk at a time, and only in chunks the table marks
     psi = uniform_state(18)
     f = needle(12345, 18)
     probability, peak = traced_peak(lambda: cam_match(psi, f))
@@ -414,14 +401,14 @@ def test_cam_match_of_a_needle_holds_no_state_sized_array():
     assert peak < 0.1 * psi.amps.nbytes
 
 
-def test_cam_match_of_a_wide_truth_set_holds_at_most_its_gather():
-    # 3/4 of the state gathered and its magnitudes (1.125x the state), then,
-    # as the reading is 3/4, one float64 array of the weights outside (0.5x)
+def test_cam_match_of_a_wide_truth_set_holds_no_state_sized_array():
+    # weights one chunk at a time: no gather of the truth set and no
+    # state-sized mask
     psi = uniform_state(18)
     f = parse("a + b", default_var_names(18))
     probability, peak = traced_peak(lambda: cam_match(psi, f))
     assert probability == 0.75
-    assert peak <= 1.2 * psi.amps.nbytes
+    assert peak <= 0.1 * psi.amps.nbytes
 
 
 # --- recognizes --------------------------------------------------------------------------

@@ -96,6 +96,14 @@ def test_encode_rejects_bad_letter():
         encode("ZXB")
 
 
+def test_encode_refuses_a_sequence_entry_that_is_not_a_factor():
+    # letters name factors only in a string; in a sequence each entry is a Factor
+    for pattern, entry in ((["Z", "B"], "'Z'"), ([None], "None"), ((Z, 0, B), "0")):
+        with pytest.raises(ValueError, match=f"^bad pattern letter {entry}: use Z="):
+            encode(pattern)
+    assert encode(iter([Z, O, B])).amps.tobytes() == encode("zob").amps.tobytes()
+
+
 # reference for encode: the left-to-right np.kron fold of the factor vectors
 FACTOR_VECTORS = {"Z": [1.0, 0.0], "O": [0.0, 1.0], "B": [1.0, 1.0]}
 
