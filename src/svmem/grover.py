@@ -63,11 +63,10 @@ def uniform_state(n: int) -> StateVector:
 def _invert_about_mean(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """2*mean - a for every amplitude a, into out (a fresh array if None); out may be amps.
 
-    amps must be finite, as the amplitudes of an owned state or those _amps
-    returns are. From finite amplitudes the mean or a result stops being
-    finite only by an overflow, which the caller's floating-point policy
-    raises as ValueError("amplitudes must be finite"): no pass over the
-    amplitudes or the results checks them.
+    amps must be finite, as those of a read-only state or those _amps returns
+    are. From finite amplitudes the mean or a result stops being finite only
+    by an overflow, which the caller's floating-point policy raises as
+    ValueError("amplitudes must be finite"): nothing else checks them.
     """
     mean = amps.mean()
     return np.subtract(2.0 * mean, amps, out=out)

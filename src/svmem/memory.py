@@ -24,6 +24,7 @@ import numpy as np
 from .boolfn import BoolFn
 from .errors import ShapeError
 from .statevec import (
+    _CHUNK,
     DEFAULT_SUPPORT_EPS,
     Factor,
     StateVector,
@@ -208,9 +209,10 @@ def recognizes(
     """Strict recognition: the truth set equals the support exactly.
 
     cam_match exposes the weaker reading (probability 1 means support
-    contained in the truth set); this one pins the whole word.
+    contained in the truth set); this one pins the whole word, one chunk at a time.
     """
     if f.n != psi.n:
         raise ShapeError(f"function on {f.n} inputs got a {psi.n}-qubit state")
     check_tolerance(eps)
-    return np.array_equal(f.table, np.abs(_amps(psi)) > eps)
+    amps, starts = _amps(psi), range(0, 1 << psi.n, _CHUNK)
+    return all(np.array_equal(f.table[s:s + _CHUNK], np.abs(amps[s:s + _CHUNK]) > eps) for s in starts)

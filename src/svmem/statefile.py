@@ -49,7 +49,7 @@ def _save(psi, end: bytes) -> np.ndarray:
     stays apart from 0.0. One json.dumps writes the distinct pairs, and the
     text is gathered from their texts by number: no Python object per amplitude.
     """
-    bits = np.ascontiguousarray(statevec._amps(psi)).view(np.uint64).reshape(-1, 2)
+    bits = statevec._amps(psi).view(np.uint64).reshape(-1, 2)
     codes, distinct = _dense_codes(list(bits.T))
     pairs = distinct.view(np.float64).tolist()  # a row per distinct amplitude
     # the listing is the text of the distinct pairs alone: the same head,

@@ -7,12 +7,12 @@ indices 0 and 1: the opposite of many simulators, and assumed package-wide.
 States are kept unnormalized: only the readouts divide, each weight re*re +
 im*im of one array (`_weights`) over their in-order chunk sum (`norm_squared`).
 
-One trust rule covers every read of amplitudes. A state this package returns
-holds read-only finite amplitudes that it allocated (`_adopt`): while it holds
-that array (`_owned`), they are read as they are, and a readout keeps its squared
-norm after one sum. Any other array, as in a caller's `StateVector(n, arr)`, is
-checked on every read (`_amps`) and summed by every readout. Unsupported: thawing
-a returned array, writing into it and freezing it again (trust and norm go stale).
+One trust rule covers every read of amplitudes: an array is trusted exactly
+when it is not writable. A state holds the constructor's checked, read-only
+copy or a read-only finite array svmem allocated (`_adopt`): read as it is, its
+squared norm kept by a readout after one sum. A deep or pickled copy's writable
+array is checked on every read (`_amps`) and summed by every readout.
+Unsupported: freezing an array after writing into it (trust and norm go stale).
 
 One floating-point policy, `_arithmetic`, covers each function whose arithmetic
 on finite amplitudes can raise a flag: an underflow rounds, and an overflow or
@@ -94,15 +94,9 @@ def _check_finite(amps: np.ndarray) -> None:
         raise ValueError("amplitudes must be finite")
 
 
-def _owned(psi: StateVector) -> bool:
-    """True while psi still holds, read-only, the array _adopt gave it: svmem's own and finite."""
-    adopted = getattr(psi, "_adopted", None)  # a caller's StateVector has none
-    return adopted is not None and adopted[0] is psi.amps and not psi.amps.flags.writeable
-
-
 def _amps(psi: StateVector) -> np.ndarray:
-    """psi.amps, every one checked finite first unless psi is svmem's own."""
-    if not _owned(psi):
+    """psi.amps, every one checked finite first if the array is writable, as a copy's is."""
+    if psi.amps.flags.writeable:
         _check_finite(psi.amps)
     return psi.amps
 
@@ -141,44 +135,44 @@ def parse_pattern(pattern: str | Iterable[Factor]) -> tuple[Factor, ...]:
     return tuple(factors)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """2^n complex amplitudes indexed by basis state, n within the qubit cap; not normalized."""
+    """2^n complex amplitudes by basis state, n within the qubit cap, as a read-only copy; not normalized."""
 
     n: int
     amps: np.ndarray
+    _total = None  # the squared norm, once a readout of the read-only array has summed it
 
     def __post_init__(self):
-        self.n = check_qubits(self.n)
-        amps = np.asarray(self.amps, dtype=np.complex128)
-        if amps.shape != (1 << self.n,):
-            raise ValueError(
-                f"expected {1 << self.n} amplitudes for n={self.n}, got shape {amps.shape}"
-            )
+        n = check_qubits(self.n)
+        amps = np.array(self.amps, dtype=np.complex128)
+        if amps.shape != (1 << n,):
+            raise ValueError(f"expected {1 << n} amplitudes for n={n}, got shape {amps.shape}")
         _check_finite(amps)
-        self.amps = amps
+        amps.setflags(write=False)
+        self.__dict__.update(n=n, amps=amps)
 
     @classmethod
     def _adopt(cls, n: int, amps: np.ndarray, total: float | None = None) -> StateVector:
         """Package-internal: the state over amps, 2^n complex128 values svmem just allocated.
 
-        No copy and no checks: the caller built amps in shape and finite, under
-        _arithmetic wherever they can overflow. amps and its .base chain are frozen
-        here, so the state is owned. A caller that knows the nonzero norm_squared
-        bit for bit passes it as total, and no readout sums it.
+        No copy and no checks: the caller built amps in shape and finite, under _arithmetic
+        wherever they can overflow. amps and its .base chain are frozen here, so it is trusted.
+        A caller that knows the nonzero norm_squared bit for bit passes it as total: never summed.
         """
         base = amps
         while isinstance(base, np.ndarray):
             base.setflags(write=False)
             base = base.base
         psi = cls.__new__(cls)
-        psi.n, psi.amps, psi._adopted = n, amps, (amps, total)
+        fields = psi.__dict__  # item stores: the cheapest way past a frozen __setattr__
+        fields["n"], fields["amps"], fields["_total"] = n, amps, total
         return psi
 
     def to_json_dict(self) -> dict:
         """JSON form: {"n": n, "amps": [[re, im], ...]} in basis-index order."""
         # complex128 is a (re, im) float64 pair in memory
-        pairs = np.ascontiguousarray(_amps(self)).view(np.float64).reshape(-1, 2)
+        pairs = _amps(self).view(np.float64).reshape(-1, 2)
         return {"n": self.n, "amps": pairs.tolist()}
 
     def to_json_text(self) -> str:
@@ -279,21 +273,21 @@ def support(psi: StateVector, eps: float = DEFAULT_SUPPORT_EPS) -> set[int]:
 
 
 def _readout_norm_squared(psi: StateVector) -> float:
-    """The squared norm every readout divides by: kept by an owned state, else summed per call.
+    """The squared norm every readout divides by: kept for a read-only array, else summed per call.
 
     A finite sum proves the amplitudes finite, so only a sum that is not finite checks them.
     """
-    owned = _owned(psi)
-    if owned and psi._adopted[1] is not None:
-        return psi._adopted[1]
+    trusted = not psi.amps.flags.writeable
+    if trusted and psi._total is not None:
+        return psi._total
     total = norm_squared(psi)
     if total == 0.0:
         raise DegenerateStateError("the all-zero state has no measurement distribution")
     if not math.isfinite(total):
-        _amps(psi)  # raises on a caller's inf or NaN
+        _amps(psi)  # raises on a copy's inf or NaN
         raise ValueError("the squared norm of the state overflows a double")
-    if owned:
-        psi._adopted = (psi.amps, total)
+    if trusted:
+        psi.__dict__["_total"] = total
     return total
 
 

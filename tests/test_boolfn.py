@@ -10,6 +10,7 @@ from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from svmem import statevec
 from svmem.boolfn import (
     BoolFn,
     count_functions,
@@ -21,6 +22,8 @@ from svmem.boolfn import (
     truth_set,
 )
 from svmem.errors import ParseError
+from svmem.memory import ram_read
+from svmem.statevec import StateVector, probabilities, support
 
 
 # --- needle -------------------------------------------------------------------
@@ -391,3 +394,29 @@ def test_copies_of_a_function_keep_a_read_only_table():
             g.table[0] = True
         assert g == f and hash(g) == hash(f)
     assert copy.deepcopy([f, f])[0].table is not f.table
+
+
+def test_copies_of_a_state_share_or_copy_its_array(monkeypatch):
+    # a state is a value like a function, but numpy deep-copies and unpickles
+    # its array as writable, and the benchmark self-test relies on that: it
+    # corrupts deep copies of op outputs in place. Readers check such a copy,
+    # and each readout sums it again
+    calls = []
+    monkeypatch.setattr(statevec, "norm_squared", lambda psi: calls.append(psi) or 14.0)
+    psi = StateVector(2, [1, 2j, 0, -3])
+    assert probabilities(psi).tolist() == [1 / 14, 4 / 14, 0.0, 9 / 14]
+    assert len(calls) == 1
+    same = copy.copy(psi)  # shares the read-only array and the norm kept for it
+    assert same.amps is psi.amps and not same.amps.flags.writeable
+    assert probabilities(same).tolist() == probabilities(psi).tolist()
+    assert len(calls) == 1
+    for twin in (copy.deepcopy(psi), pickle.loads(pickle.dumps(psi))):
+        assert twin.amps is not psi.amps and twin.amps.flags.writeable
+        assert twin.amps.tobytes() == psi.amps.tobytes()
+        calls.clear()
+        assert ram_read(twin, 3) == ram_read(twin, 3) == (1, 9 / 14)
+        assert calls == [twin, twin]
+        twin.amps[3] = np.nan
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            support(twin)
+    assert psi.amps.tolist() == [1, 2j, 0, -3]

@@ -443,6 +443,30 @@ def reference_recognizes(f, psi, eps):
     return truth_set(f) == support(psi, eps)
 
 
+def test_recognizes_holds_no_state_sized_array():
+    # magnitudes one chunk at a time, up to the first chunk that differs
+    psi = uniform_state(18)
+    for f, expected in [(parse("a + b", default_var_names(18)), False),
+                        (BoolFn(18, np.ones(1 << 18, bool)), True)]:
+        result, peak = traced_peak(lambda: recognizes(f, psi))
+        assert result is expected and result == reference_recognizes(f, psi, 1e-9)
+        assert peak <= 0.1 * psi.amps.nbytes
+
+
+def test_recognizes_compares_every_chunk():
+    # four chunks: a difference in any one of them, the last too, is seen
+    n = 15
+    amps = np.random.default_rng(5).normal(size=1 << n) * (np.arange(1 << n) % 3 != 0)
+    psi = StateVector(n, amps)
+    table = np.abs(psi.amps) > 1e-9
+    assert recognizes(BoolFn(n, table), psi)
+    for k in (0, 8191, 8192, 20000, (1 << n) - 1):
+        flipped = table.copy()
+        flipped[k] = not flipped[k]
+        f = BoolFn(n, flipped)
+        assert recognizes(f, psi) is reference_recognizes(f, psi, 1e-9) is False
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_recognizes_matches_set_reference(data):

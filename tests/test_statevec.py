@@ -1,9 +1,11 @@
 """State construction, tensor products, norms, and probability views."""
 
 import copy
+import dataclasses
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -404,21 +406,21 @@ def test_returned_states_are_read_only(build):
         psi.amps[0] = 0
 
 
-def test_caller_state_keeps_its_array_as_given():
-    arr = np.array([1, 2j], dtype=np.complex128)
-    psi = StateVector(1, arr)
-    assert psi.amps is arr and arr.flags.writeable
-    assert probabilities(psi).tolist() == [0.2, 0.8]
-    arr[1] = 0
-    assert probabilities(psi).tolist() == [1.0, 0.0]
-    # a read-only view of a writable array can still change: its norm is not kept
-    base = np.array([1, 1], dtype=np.complex128)
-    view = base[:]
-    view.setflags(write=False)
-    psi = StateVector(1, view)
-    assert probabilities(psi).tolist() == [0.5, 0.5]
-    base[1] = 0
-    assert probabilities(psi).tolist() == [1.0, 0.0]
+def test_caller_state_keeps_a_read_only_copy():
+    # a write into the caller's array, or through the writable base of a
+    # read-only view, reaches no reading: the state holds its own copy
+    for read_only_view in (False, True):
+        base = np.array([1, 2j, 0, -3], dtype=np.complex128)
+        arr = base[:] if read_only_view else base
+        arr.setflags(write=not read_only_view)
+        psi = StateVector(2, arr)
+        assert psi.amps is not arr and psi.amps.base is None
+        assert not psi.amps.flags.writeable and base.flags.writeable
+        before = _readings(psi)
+        base[:] = [0, 0, 5, 0]
+        assert _readings(psi) == before
+        assert psi.amps.tolist() == [1, 2j, 0, -3]
+        assert probabilities(psi).tolist() == [1 / 14, 4 / 14, 0.0, 9 / 14]
 
 
 def test_readouts_sum_a_returned_state_once(monkeypatch):
@@ -437,7 +439,14 @@ def test_readouts_sum_a_returned_state_once(monkeypatch):
     ram_read(twin, 0)
     ram_read(twin, 0)
     assert len(calls) == 3
-    psi.amps = encode("ZB").amps  # another array, even a read-only one, is summed again
+    psi = StateVector(2, np.ones(4))  # a read-only copy: summed once, like svmem's own
+    assert [ram_read(psi, k) for k in range(4)] == [(1, 0.25)] * 4
+    probabilities(psi)
+    assert len(calls) == 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        psi.amps = encode("ZB").amps  # no other array can be bound under a kept norm
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        psi.n = 1
     ram_read(psi, 0)
     assert len(calls) == 4
 
@@ -464,7 +473,7 @@ def test_kron_and_diffusion_still_check_finiteness():
             diffusion(big)
 
 
-# every call that reads a caller's amplitudes after StateVector checked them
+# every call that reads a state's amplitudes, checking them first when they are writable
 CALLER_AMPLITUDE_READERS = {
     "apply_phase": lambda psi: apply_phase(needle(0, 2), psi),
     "apply_marking": lambda psi: apply_marking(needle(0, 1), psi),
@@ -483,19 +492,41 @@ CALLER_AMPLITUDE_READERS = {
 READOUTS = {"probabilities", "ram_read", "cam_match"}
 
 
+def _reading(result):
+    """A reader's result in a form == compares bit for bit: a state as its n and bytes."""
+    if isinstance(result, StateVector):
+        return result.n, result.amps.tobytes()
+    return result.tobytes() if isinstance(result, np.ndarray) else result
+
+
+def _readings(psi):
+    return {name: _reading(reader(psi)) for name, reader in CALLER_AMPLITUDE_READERS.items()}
+
+
+def _writable_copies(psi):
+    """A deep copy and an unpickled copy of psi: numpy copies arrays as writable."""
+    return [copy.deepcopy(psi), pickle.loads(pickle.dumps(psi))]
+
+
 @pytest.mark.parametrize("reader", sorted(CALLER_AMPLITUDE_READERS))
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
 def test_a_callers_amplitude_made_non_finite_is_refused(value, reader):
-    # a caller's array can change after StateVector checked it: written
-    # directly while writable, or through the writable base of a read-only view
+    read = CALLER_AMPLITUDE_READERS[reader]
+    # the state keeps a copy: a value written into the caller's array, directly
+    # or through the writable base of a read-only view, reaches no reader
     for read_only_view in (False, True):
         base = np.array([1, 0, 0, 0], complex)
         amps = base[:] if read_only_view else base
         amps.setflags(write=not read_only_view)
         psi = StateVector(2, amps)
+        before = _reading(read(psi))  # a readout keeps the norm, and copies carry it
         base[0] = value
-        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
-            CALLER_AMPLITUDE_READERS[reader](psi)
+        assert _reading(read(psi)) == before
+        # a deep or unpickled copy is writable: a value written there after the copy is refused
+        for twin in _writable_copies(psi):
+            twin.amps[0] = value
+            with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                read(twin)
 
 
 OWN_STATES = {
@@ -509,7 +540,7 @@ OWN_STATES = {
 
 
 def _caller_states(values):
-    """States over copies of values: writable, read-only, and a read-only view of a writable base."""
+    """States over values given writable, read-only, and as a read-only view of a writable base."""
     writable, frozen, base = (np.array(values, complex) for _ in range(3))
     frozen.setflags(write=False)
     view = base[:]
@@ -519,17 +550,17 @@ def _caller_states(values):
 
 def test_only_a_callers_amplitudes_get_a_finiteness_pass(monkeypatch):
     # built before the patch, so construction's own check is not counted
-    own = [build() for build in OWN_STATES.values()]
-    callers = _caller_states([1, 2j, 0, -3])
+    trusted = [build() for build in OWN_STATES.values()] + _caller_states([1, 2j, 0, -3])
+    copies = [twin for psi in trusted for twin in _writable_copies(psi)]
     checked = []
     monkeypatch.setattr(statevec, "_check_finite", checked.append)
     for name, reader in CALLER_AMPLITUDE_READERS.items():
-        for psi in own:  # svmem's own, frozen and finite: read as they are
+        for psi in trusted:  # svmem's own and the constructor's, read-only and finite
             reader(psi)
         assert checked == [], name
-        for psi in callers:
+        for psi in copies:
             reader(psi)
-            # one pass, on the caller's array; a readout's finite sum is its check
+            # one pass, on the copy's writable array; a readout's finite sum is its check
             assert len(checked) == (0 if name in READOUTS else 1), name
             assert all(amps is psi.amps for amps in checked), name
             checked.clear()
@@ -793,8 +824,10 @@ def test_to_json_dict_strided_view_matches_reference(view):
     rng = np.random.default_rng(17)
     base = rng.normal(size=64) + 1j * rng.normal(size=64)
     base[:6] = [0.0, -0.0, complex(-0.0, -0.0), 5e-324j, -5e-324, complex(1e308, -1e-308)]
-    psi = StateVector(5, view(base))
-    assert not psi.amps.flags.c_contiguous
+    amps = view(base)
+    assert not amps.flags.c_contiguous
+    psi = StateVector(5, amps)  # the state keeps a contiguous copy of the view
+    assert psi.amps.flags.c_contiguous and psi.amps.tobytes() == amps.tobytes()
     expected = json.dumps(reference_to_json_dict(psi))
     assert json.dumps(psi.to_json_dict()) == expected
 
@@ -860,13 +893,13 @@ def test_to_json_text_matches_reference(n, seed, pool_size, all_distinct, view, 
     else:
         values = rng.choice(VALUE_POOL[:pool_size], size=(2 << n, 2))
     psi = StateVector(n, VIEWS[view](values.view(np.complex128).reshape(-1), n))
-    for k, value, imaginary in nonfinite:  # written in place, past the finiteness check
-        psi.amps[k % (1 << n)] = complex(0.0, value) if imaginary else complex(value, 0.0)
-    if nonfinite:  # refused at the save, as at every read of a caller's amplitudes
+    if nonfinite:  # written into a writable deep copy, past the finiteness check
+        twin = copy.deepcopy(psi)
+        for k, value, imaginary in nonfinite:
+            twin.amps[k % (1 << n)] = complex(0.0, value) if imaginary else complex(value, 0.0)
         with pytest.raises(ValueError, match="^amplitudes must be finite$"):
-            psi.to_json_text()
-    else:
-        assert psi.to_json_text() == reference_to_json_text(psi)
+            twin.to_json_text()  # refused at the save, as at every read of a copy's amplitudes
+    assert psi.to_json_text() == reference_to_json_text(psi)
 
 
 # [re, im] bodies written over pairs of a canonical file; only the first few
