@@ -24,19 +24,17 @@ import numpy as np
 from .boolfn import BoolFn
 from .errors import ShapeError
 from .statevec import (
-    _CHUNK,
     DEFAULT_SUPPORT_EPS,
     Factor,
     StateVector,
-    _amps,
     _arithmetic,
     _readout_norm_squared,
+    _stored_bits,
     _summed_weights,
     check_cap,
     check_count,
     check_index,
     check_qubits,
-    check_tolerance,
 )
 
 # Largest n whose 3^n, the biggest count in the report, has at most 4300
@@ -187,8 +185,8 @@ def ram_read(
 ) -> tuple[int, float]:
     """One addressed bit of the stored word, and its probability: cam_match(psi, needle(k, n))."""
     k = check_index(k, psi.n, "address")
-    check_tolerance(eps)
-    return (1 if np.abs(psi.amps[k]) > eps else 0, _readout(psi, k))
+    ((_, bits),) = _stored_bits(psi, eps, k)
+    return (int(bits[0]), _readout(psi, k))
 
 
 @_arithmetic
@@ -213,6 +211,4 @@ def recognizes(
     """
     if f.n != psi.n:
         raise ShapeError(f"function on {f.n} inputs got a {psi.n}-qubit state")
-    check_tolerance(eps)
-    amps, starts = _amps(psi), range(0, 1 << psi.n, _CHUNK)
-    return all(np.array_equal(f.table[s:s + _CHUNK], np.abs(amps[s:s + _CHUNK]) > eps) for s in starts)
+    return all(np.array_equal(f.table[s:s + bits.size], bits) for s, bits in _stored_bits(psi, eps))

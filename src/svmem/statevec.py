@@ -26,7 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,9 +145,10 @@ class StateVector:
 
     def __post_init__(self):
         n = check_qubits(self.n)
-        amps = np.array(self.amps, dtype=np.complex128)
+        amps = np.asarray(self.amps, dtype=np.complex128)  # no copy yet: a wrong shape is refused first
         if amps.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes for n={n}, got shape {amps.shape}")
+        amps = np.array(amps)
         _check_finite(amps)
         amps.setflags(write=False)
         self.__dict__.update(n=n, amps=amps)
@@ -241,7 +242,10 @@ _CHUNK = 8192
 def _weights(amps: np.ndarray) -> np.ndarray:
     """|a|^2 of every amplitude as re*re + im*im in float64: the one array behind every readout."""
     weights = np.square(amps.real)
-    return np.add(weights, np.square(amps.imag), out=weights)
+    for start in range(0, amps.size, _CHUNK):  # im*im by chunks: no temporary outgrows one
+        chunk = slice(start, start + _CHUNK)
+        np.add(weights[chunk], np.square(amps.imag[chunk]), out=weights[chunk])
+    return weights
 
 
 @_arithmetic
@@ -265,11 +269,17 @@ def norm_squared(psi: StateVector) -> float:
         return math.inf
 
 
+def _stored_bits(psi: StateVector, eps: float, k: int | None = None) -> Iterator:
+    """The one stored-bit rule, |a| > eps: the word, or address k alone, as (offset, bools) per chunk."""
+    check_tolerance(eps)  # eager, so eps and a copy are checked before any bit is read
+    amps = _amps(psi) if k is None else psi.amps[k:k + 1]  # k: ram_read's readout sum checks a copy
+    return ((low, np.abs(amps[low:low + _CHUNK]) > eps) for low in range(0, amps.size, _CHUNK))
+
+
 @_arithmetic
 def support(psi: StateVector, eps: float = DEFAULT_SUPPORT_EPS) -> set[int]:
-    """Basis indices whose amplitude magnitude exceeds eps."""
-    check_tolerance(eps)
-    return {int(k) for k in np.flatnonzero(np.abs(_amps(psi)) > eps)}
+    """Basis indices whose amplitude magnitude exceeds eps, read one chunk at a time."""
+    return {start + int(k) for start, bits in _stored_bits(psi, eps) for k in np.flatnonzero(bits)}
 
 
 def _readout_norm_squared(psi: StateVector) -> float:
@@ -295,4 +305,5 @@ def _readout_norm_squared(psi: StateVector) -> float:
 def probabilities(psi: StateVector) -> np.ndarray:
     """Measurement distribution: each weight over their sum, so every entry lies in [0, 1]."""
     total = _readout_norm_squared(psi)  # first: it refuses what _weights would overflow on
-    return _weights(psi.amps) / total
+    weights = _weights(psi.amps)
+    return np.divide(weights, total, out=weights)

@@ -241,15 +241,32 @@ def test_ram_read_errors(zzb_state):
             ram_read(zzb_state, 0, eps)
 
 
-def test_ram_read_support_and_recognizes_agree_on_a_bit_at_the_tolerance():
-    # Python's abs() of a numpy complex scalar is a hypot one ulp above np.abs
-    # here: at eps = np.abs(a), ram_read read bit 1 while support was empty
-    a = 0.9034701816518086 + 0.09401229776087457j
-    psi = StateVector(1, [a, 0])
-    eps = float(np.abs(psi.amps[0]))
-    assert ram_read(psi, 0, eps)[0] == 0
-    assert support(psi, eps) == set()
-    assert not recognizes(needle(0, 1), psi, eps)
+# 2 to 32 finite amplitudes whose weights sum to a finite double
+_AMPLITUDE_LISTS = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False),
+    min_size=1 << n, max_size=1 << n))
+
+
+@settings(deadline=None)
+@given(amps=_AMPLITUDE_LISTS, pick=st.integers(0, 31), step=st.sampled_from([-1, 0, 1]))
+# Python's abs() of a numpy complex scalar is a hypot one ulp above np.abs
+# here: at eps = np.abs(a), ram_read read bit 1 while support was empty
+@example(amps=[0.9034701816518086 + 0.09401229776087457j, 0j], pick=0, step=0)
+def test_ram_read_support_and_recognizes_agree_on_a_bit_at_the_tolerance(amps, pick, step):
+    # eps is one of the state's own magnitudes, or a neighbouring double
+    psi = StateVector(len(amps).bit_length() - 1, amps)
+    assume(norm_squared(psi) > 0)
+    magnitudes = np.abs(psi.amps)
+    eps = float(magnitudes[pick % len(amps)])
+    if step:
+        eps = float(np.nextafter(eps, step * np.inf))
+    assume(eps > 0)
+    stored = support(psi, eps)
+    assert stored == {k for k in range(len(amps)) if magnitudes[k] > eps}
+    table = np.zeros(len(amps), np.uint8)
+    table[sorted(stored)] = 1
+    assert recognizes(BoolFn(psi.n, table), psi, eps)
+    assert {k for k in range(len(amps)) if ram_read(psi, k, eps)[0]} == stored
 
 
 def test_ram_read_roundtrip():
@@ -441,6 +458,14 @@ def test_recognizes_shape_error(zzb_state):
 def reference_recognizes(f, psi, eps):
     # the set-based form: the truth set equals the support
     return truth_set(f) == support(psi, eps)
+
+
+def test_support_holds_no_state_sized_array():
+    # magnitudes one chunk at a time; at eps = 1 the uniform state stores no bit
+    psi = uniform_state(18)
+    stored, peak = traced_peak(lambda: support(psi, 1.0))
+    assert stored == set()
+    assert peak <= 0.05 * psi.amps.nbytes
 
 
 def test_recognizes_holds_no_state_sized_array():

@@ -323,11 +323,32 @@ def test_probabilities_rejects_zero_state():
         probabilities(StateVector(14, amps))
 
 
+def test_probabilities_hold_one_array_the_size_of_the_result():
+    # the weights are divided in place, and each im*im is squared a chunk at a time
+    psi = uniform_state(18)
+    probs, peak = traced_peak(lambda: probabilities(psi))
+    assert probs.tolist() == [2.0**-18] * (1 << 18)
+    assert peak <= 0.55 * psi.amps.nbytes  # the result alone is 0.50x
+
+
 # --- StateVector validation and JSON -----------------------------------------
 
 def test_statevector_rejects_wrong_length():
     with pytest.raises(ValueError, match="expected 8 amplitudes"):
         StateVector(3, np.zeros(4, complex))
+
+
+def test_statevector_refuses_a_wrong_shape_before_copying_it():
+    amps = np.zeros(1 << 20, complex)
+
+    def build():
+        with pytest.raises(ValueError) as excinfo:
+            StateVector(2, amps)
+        return excinfo
+
+    excinfo, peak = traced_peak(build)
+    assert str(excinfo.value) == "expected 4 amplitudes for n=2, got shape (1048576,)"
+    assert peak <= 0.01 * amps.nbytes
 
 
 @pytest.mark.parametrize("n", [DEFAULT_QUBIT_CAP + 1, 64, 20000, 10**8])
