@@ -39,12 +39,13 @@ class BoolFn:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_arity(self.n))
-        table = _bool_entries(self.table)
+        table = np.asarray(self.table)  # no copy yet: a wrong shape is refused first
         if table.shape != (1 << self.n,):
             raise ValueError(
                 f"expected a table of length {1 << self.n} for arity {self.n}, "
                 f"got shape {table.shape}"
             )
+        table = _bool_entries(table)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -62,9 +63,8 @@ class BoolFn:
         return BoolFn, (self.n, self.table)
 
 
-def _bool_entries(entries) -> np.ndarray:
+def _bool_entries(entries: np.ndarray) -> np.ndarray:
     """A fresh bool array of the entries, which must be bools or the numbers 0 and 1."""
-    entries = np.asarray(entries)
     if entries.dtype == bool:
         return entries.copy()
     if np.issubdtype(entries.dtype, np.number):

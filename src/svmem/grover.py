@@ -63,10 +63,10 @@ def uniform_state(n: int) -> StateVector:
 def _invert_about_mean(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """2*mean - a for every amplitude a, into out (a fresh array if None); out may be amps.
 
-    amps must be finite, as those of a read-only state or those _amps returns
-    are. From finite amplitudes the mean or a result stops being finite only
-    by an overflow, which the caller's floating-point policy raises as
-    ValueError("amplitudes must be finite"): nothing else checks them.
+    amps must be finite, as those _amps returns are: a read-only state's, or
+    a copy's once checked and frozen. From finite amplitudes the mean or a
+    result stops being finite only by an overflow, which the caller's
+    floating-point policy raises as ValueError("amplitudes must be finite").
     """
     mean = amps.mean()
     return np.subtract(2.0 * mean, amps, out=out)
@@ -76,8 +76,8 @@ def _invert_about_mean(amps: np.ndarray, out: np.ndarray | None = None) -> np.nd
 def diffusion(psi: StateVector) -> StateVector:
     """Inversion about the mean: every amplitude a becomes 2*mean - a, in a fresh state.
 
-    Raises ValueError("amplitudes must be finite") when an amplitude or a
-    result would not be finite; see _invert_about_mean, the arithmetic run shares.
+    Raises ValueError("amplitudes must be finite") when a copy's amplitude, checked at
+    the trust gate, or a result would not be finite; see _invert_about_mean, which run shares.
     """
     return StateVector._adopt(psi.n, _invert_about_mean(_amps(psi)))
 

@@ -7,12 +7,12 @@ indices 0 and 1: the opposite of many simulators, and assumed package-wide.
 States are kept unnormalized: only the readouts divide, each weight re*re +
 im*im of one array (`_weights`) over their in-order chunk sum (`norm_squared`).
 
-One trust rule covers every read of amplitudes: an array is trusted exactly
-when it is not writable. A state holds the constructor's checked, read-only
-copy or a read-only finite array svmem allocated (`_adopt`): read as it is, its
-squared norm kept by a readout after one sum. A deep or pickled copy's writable
-array is checked on every read (`_amps`) and summed by every readout.
-Unsupported: freezing an array after writing into it (trust and norm go stale).
+One trust gate, `_amps`, comes before every read of amplitudes: an array is trusted
+exactly when it is not writable, as the constructor's checked copy and an array svmem
+allocated (`_adopt`) are. A writable one, a deep or pickled copy's or a thawed one, is
+checked finite, frozen and its kept norm dropped at its next read; a readout sums the
+norm once and keeps it. Unsupported (trust and norm go stale): freezing an array after
+writing it, or writing after that read through a view or base taken before it.
 
 One floating-point policy, `_arithmetic`, covers each function whose arithmetic
 on finite amplitudes can raise a flag: an underflow rounds, and an overflow or
@@ -95,9 +95,11 @@ def _check_finite(amps: np.ndarray) -> None:
 
 
 def _amps(psi: StateVector) -> np.ndarray:
-    """psi.amps, every one checked finite first if the array is writable, as a copy's is."""
+    """psi.amps, read-only: a writable one, as a copy's is, is checked finite and frozen, its norm dropped."""
     if psi.amps.flags.writeable:
         _check_finite(psi.amps)
+        psi.amps.setflags(write=False)
+        psi.__dict__["_total"] = None
     return psi.amps
 
 
@@ -225,7 +227,7 @@ def _subcube(factors: Sequence[Factor], dtype) -> np.ndarray:
 def kron(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; entry p*2^b.n + q equals a.amps[p] * b.amps[q].
 
-    ValueError("amplitudes must be finite") iff an operand entry is not finite or a product overflows.
+    ValueError("amplitudes must be finite") iff a copy's entry is not finite (see _amps) or a product overflows.
     """
     check_qubits(a.n + b.n)
     return StateVector._adopt(a.n + b.n, np.kron(_amps(a), _amps(b)))
@@ -272,7 +274,7 @@ def norm_squared(psi: StateVector) -> float:
 def _stored_bits(psi: StateVector, eps: float, k: int | None = None) -> Iterator:
     """The one stored-bit rule, |a| > eps: the word, or address k alone, as (offset, bools) per chunk."""
     check_tolerance(eps)  # eager, so eps and a copy are checked before any bit is read
-    amps = _amps(psi) if k is None else psi.amps[k:k + 1]  # k: ram_read's readout sum checks a copy
+    amps = _amps(psi)[k:None if k is None else k + 1]
     return ((low, np.abs(amps[low:low + _CHUNK]) > eps) for low in range(0, amps.size, _CHUNK))
 
 
@@ -283,21 +285,16 @@ def support(psi: StateVector, eps: float = DEFAULT_SUPPORT_EPS) -> set[int]:
 
 
 def _readout_norm_squared(psi: StateVector) -> float:
-    """The squared norm every readout divides by: kept for a read-only array, else summed per call.
-
-    A finite sum proves the amplitudes finite, so only a sum that is not finite checks them.
-    """
-    trusted = not psi.amps.flags.writeable
-    if trusted and psi._total is not None:
+    """The squared norm every readout divides by, past the trust gate: summed once, then kept."""
+    _amps(psi)
+    if psi._total is not None:
         return psi._total
     total = norm_squared(psi)
     if total == 0.0:
         raise DegenerateStateError("the all-zero state has no measurement distribution")
     if not math.isfinite(total):
-        _amps(psi)  # raises on a copy's inf or NaN
         raise ValueError("the squared norm of the state overflows a double")
-    if trusted:
-        psi.__dict__["_total"] = total
+    psi.__dict__["_total"] = total
     return total
 
 

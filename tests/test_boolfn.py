@@ -347,6 +347,20 @@ def test_boolfn_validation():
             BoolFn(1, [bad, 0])
 
 
+@pytest.mark.parametrize("dtype", [bool, np.uint8])
+def test_boolfn_refuses_a_wrong_shape_before_copying_it(dtype):
+    table = np.zeros(1 << 20, dtype)
+
+    def build():
+        with pytest.raises(ValueError) as excinfo:
+            BoolFn(2, table)
+        return excinfo
+
+    excinfo, peak = traced_peak(build)
+    assert str(excinfo.value) == "expected a table of length 4 for arity 2, got shape (1048576,)"
+    assert peak <= 0.01 * table.nbytes
+
+
 def test_every_form_and_constructor_gives_one_read_only_bool_table():
     source = np.array([True, False, True, True])
     fns = [
@@ -399,8 +413,8 @@ def test_copies_of_a_function_keep_a_read_only_table():
 def test_copies_of_a_state_share_or_copy_its_array(monkeypatch):
     # a state is a value like a function, but numpy deep-copies and unpickles
     # its array as writable, and the benchmark self-test relies on that: it
-    # corrupts deep copies of op outputs in place. Readers check such a copy,
-    # and each readout sums it again
+    # corrupts deep copies of op outputs in place. svmem's first read of such
+    # a copy checks it and freezes it, and a readout then keeps its norm
     calls = []
     monkeypatch.setattr(statevec, "norm_squared", lambda psi: calls.append(psi) or 14.0)
     psi = StateVector(2, [1, 2j, 0, -3])
@@ -410,13 +424,17 @@ def test_copies_of_a_state_share_or_copy_its_array(monkeypatch):
     assert same.amps is psi.amps and not same.amps.flags.writeable
     assert probabilities(same).tolist() == probabilities(psi).tolist()
     assert len(calls) == 1
-    for twin in (copy.deepcopy(psi), pickle.loads(pickle.dumps(psi))):
+    for copy_of in (copy.deepcopy, lambda psi: pickle.loads(pickle.dumps(psi))):
+        twin = copy_of(psi)
         assert twin.amps is not psi.amps and twin.amps.flags.writeable
         assert twin.amps.tobytes() == psi.amps.tobytes()
         calls.clear()
         assert ram_read(twin, 3) == ram_read(twin, 3) == (1, 9 / 14)
-        assert calls == [twin, twin]
-        twin.amps[3] = np.nan
+        assert calls == [twin]  # the norm it carried is dropped, summed once and kept
+        with pytest.raises(ValueError, match="read-only"):
+            twin.amps[3] = np.nan
+        twin = copy_of(psi)
+        twin.amps[3] = np.nan  # written before the first read: that read refuses it
         with pytest.raises(ValueError, match="^amplitudes must be finite$"):
             support(twin)
     assert psi.amps.tolist() == [1, 2j, 0, -3]

@@ -455,21 +455,22 @@ def test_readouts_sum_a_returned_state_once(monkeypatch):
     assert [ram_read(psi, k) for k in range(4)] == [(1, 0.25)] * 4
     probabilities(psi)
     assert len(calls) == 1
-    twin = copy.deepcopy(psi)  # numpy deep copies are writable: summed on every readout
-    assert twin.amps.flags.writeable
+    twin = copy.deepcopy(psi)  # writable, with psi's kept norm: dropped at the first read
+    assert twin.amps.flags.writeable and twin._total is not None
     ram_read(twin, 0)
     ram_read(twin, 0)
-    assert len(calls) == 3
+    assert len(calls) == 2  # frozen at the first read, then summed once like svmem's own
+    assert not twin.amps.flags.writeable
     psi = StateVector(2, np.ones(4))  # a read-only copy: summed once, like svmem's own
     assert [ram_read(psi, k) for k in range(4)] == [(1, 0.25)] * 4
     probabilities(psi)
-    assert len(calls) == 4
+    assert len(calls) == 3
     with pytest.raises(dataclasses.FrozenInstanceError):
         psi.amps = encode("ZB").amps  # no other array can be bound under a kept norm
     with pytest.raises(dataclasses.FrozenInstanceError):
         psi.n = 1
     ram_read(psi, 0)
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 @settings(deadline=None)
@@ -494,7 +495,7 @@ def test_kron_and_diffusion_still_check_finiteness():
             diffusion(big)
 
 
-# every call that reads a state's amplitudes, checking them first when they are writable
+# every call that reads a state's amplitudes, through the trust gate that checks and freezes a writable array
 CALLER_AMPLITUDE_READERS = {
     "apply_phase": lambda psi: apply_phase(needle(0, 2), psi),
     "apply_marking": lambda psi: apply_marking(needle(0, 1), psi),
@@ -509,8 +510,6 @@ CALLER_AMPLITUDE_READERS = {
     "to_json_text": lambda psi: psi.to_json_text(),
     "to_json_dict": lambda psi: psi.to_json_dict(),
 }
-# the readers that divide by the squared norm: a finite sum proves the amplitudes finite
-READOUTS = {"probabilities", "ram_read", "cam_match"}
 
 
 def _reading(result):
@@ -524,9 +523,16 @@ def _readings(psi):
     return {name: _reading(reader(psi)) for name, reader in CALLER_AMPLITUDE_READERS.items()}
 
 
+# numpy deep-copies and unpickles arrays as writable
+COPIES = {
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda psi: pickle.loads(pickle.dumps(psi)),
+}
+
+
 def _writable_copies(psi):
-    """A deep copy and an unpickled copy of psi: numpy copies arrays as writable."""
-    return [copy.deepcopy(psi), pickle.loads(pickle.dumps(psi))]
+    """A deep copy and an unpickled copy of psi."""
+    return [copy_of(psi) for copy_of in COPIES.values()]
 
 
 @pytest.mark.parametrize("reader", sorted(CALLER_AMPLITUDE_READERS))
@@ -543,7 +549,7 @@ def test_a_callers_amplitude_made_non_finite_is_refused(value, reader):
         before = _reading(read(psi))  # a readout keeps the norm, and copies carry it
         base[0] = value
         assert _reading(read(psi)) == before
-        # a deep or unpickled copy is writable: a value written there after the copy is refused
+        # a deep or unpickled copy is writable: a value written there before its first read is refused
         for twin in _writable_copies(psi):
             twin.amps[0] = value
             with pytest.raises(ValueError, match="^amplitudes must be finite$"):
@@ -572,19 +578,88 @@ def _caller_states(values):
 def test_only_a_callers_amplitudes_get_a_finiteness_pass(monkeypatch):
     # built before the patch, so construction's own check is not counted
     trusted = [build() for build in OWN_STATES.values()] + _caller_states([1, 2j, 0, -3])
-    copies = [twin for psi in trusted for twin in _writable_copies(psi)]
     checked = []
     monkeypatch.setattr(statevec, "_check_finite", checked.append)
     for name, reader in CALLER_AMPLITUDE_READERS.items():
         for psi in trusted:  # svmem's own and the constructor's, read-only and finite
             reader(psi)
         assert checked == [], name
-        for psi in copies:
+        for psi in [twin for psi in trusted for twin in _writable_copies(psi)]:
             reader(psi)
-            # one pass, on the copy's writable array; a readout's finite sum is its check
-            assert len(checked) == (0 if name in READOUTS else 1), name
-            assert all(amps is psi.amps for amps in checked), name
+            # one pass, on the copy's writable array, which the read then freezes
+            assert len(checked) == 1 and checked[0] is psi.amps, name
+            assert not psi.amps.flags.writeable, name
+            reader(psi)
+            assert len(checked) == 1, name
             checked.clear()
+
+
+def _outcome(read, psi):
+    """(True, read(psi) as _reading gives it), or (False, the type and message of what it raised)."""
+    try:
+        return True, _reading(read(psi))
+    except (ValueError, DegenerateStateError) as exc:
+        return False, (type(exc), str(exc))
+
+
+@settings(deadline=None)
+@given(
+    reader=st.sampled_from(sorted(CALLER_AMPLITUDE_READERS)),
+    source=st.sampled_from(sorted(OWN_STATES)),
+    kind=st.sampled_from(sorted(COPIES)),
+    summed=st.booleans(),
+    k=st.integers(0, 3),
+    value=st.one_of(
+        st.complex_numbers(allow_nan=False, allow_infinity=False),
+        st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)]),
+    ),
+)
+def test_a_copy_is_checked_and_frozen_at_its_first_read(reader, source, kind, summed, k, value):
+    read = CALLER_AMPLITUDE_READERS[reader]
+    psi = OWN_STATES[source]()
+    if summed:
+        probabilities(psi)  # the copy carries the norm kept here, stale once a value is written
+    twin = COPIES[kind](psi)
+    assert twin.amps.flags.writeable
+    twin.amps[k] = value
+    if not np.isfinite(value):
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            read(twin)
+        return
+    expected = _outcome(read, StateVector(psi.n, twin.amps))
+    checked, sums = [], []
+    check_finite, sum_norm = statevec._check_finite, statevec.norm_squared
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevec, "_check_finite", lambda amps: checked.append(amps) or check_finite(amps))
+        patch.setattr(statevec, "norm_squared", lambda psi: sums.append(psi) or sum_norm(psi))
+        returned, first = _outcome(read, twin)
+        assert (returned, first) == expected
+        assert len(checked) == 1 and checked[0] is twin.amps
+        assert len(sums) <= 1
+        assert not twin.amps.flags.writeable
+        checked.clear()
+        sums.clear()
+        assert _outcome(read, twin) == (returned, first)
+        assert checked == []
+        assert sums == [] or not returned  # a readout that returned keeps its norm
+
+
+
+@pytest.mark.parametrize("alias", ["view of a deep copy", "base of a protocol-5 copy"])
+def test_a_write_through_an_alias_taken_before_the_first_read_passes_the_gate(alias):
+    # unsupported, and pinned so that a change to it shows: the gate freezes a
+    # copy's array alone, so a view or base taken before svmem's first read
+    # stays writable, and a write through it is read with the kept norm
+    twin = copy.deepcopy(StateVector(2, [1, 0, 0, 1]))
+    if alias == "view of a deep copy":
+        other = twin.amps[:]
+    else:
+        twin = pickle.loads(pickle.dumps(twin, protocol=5))
+        other = twin.amps.base
+    assert probabilities(twin).tolist() == [0.5, 0, 0, 0.5]
+    assert not twin.amps.flags.writeable and other.flags.writeable
+    other[0] = np.nan
+    assert np.isnan(probabilities(twin)[0])  # no check, and the stale norm of 2
 
 
 # --- one size cap for every entry point ----------------------------------------
